@@ -122,7 +122,7 @@ BENCHMARK(BM_IncSrUnitUpdate)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000);
 
 // Before/after of the seed-scan memory-layout fix on the COW ScoreStore
 // the serving path uses. The old ComputeSparseSeed walked column i via
-// s(y, i): one shard resolve per element and a stride-n walk over the
+// s(y, i): one row resolve per element and a stride-n walk over the
 // n×n payload. The fix reads the SYMMETRIC row i instead — a single
 // contiguous resolve. These two kernels isolate exactly that access
 // pattern (same data, same reduction, only the layout differs).
@@ -156,8 +156,9 @@ void BM_SeedColumnScanSymmetricRow(benchmark::State& state) {
   }
   la::ScoreStore store(std::move(dense));
   const std::size_t i = n / 2;
+  la::Vector scratch;  // untouched: every row is dense
   for (auto _ : state) {
-    const double* row = store.RowPtr(i);
+    const double* row = store.ReadRow(i, &scratch);
     double sum = 0.0;
     for (std::size_t y = 0; y < n; ++y) sum += row[y];
     benchmark::DoNotOptimize(sum);

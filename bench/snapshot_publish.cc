@@ -92,7 +92,7 @@ PublishCost FullCopyPublish(la::DenseMatrix* live, std::size_t touched,
   WallTimer timer;
   for (std::size_t e = 0; e < epochs; ++e) {
     for (std::size_t r : TouchedRows(n, touched, 77 + e)) {
-      live->MutableRowPtr(r)[e % n] += 1e-12;
+      live->RowPtr(r)[e % n] += 1e-12;
     }
     la::DenseMatrix snapshot = *live;  // the O(n²) publish
     // Keep the copy observable so the optimizer cannot drop it.
@@ -113,10 +113,13 @@ PublishCost CowPublish(la::ScoreStore* store, std::size_t touched,
   PublishCost cost;
   la::ScoreStore::View pinned = store->Publish();
   const la::ScoreStoreStats before = store->stats();
+  la::RowWriter writer;
   WallTimer timer;
   for (std::size_t e = 0; e < epochs; ++e) {
     for (std::size_t r : TouchedRows(n, touched, 77 + e)) {
-      store->MutableRowPtr(r)[e % n] += 1e-12;
+      store->BeginWriteRow(r, &writer);
+      writer.Add(e % n, 1e-12);
+      store->CommitWriteRow(&writer);
     }
     pinned = store->Publish();
     if (pinned(0, 0) == -1.0) std::abort();

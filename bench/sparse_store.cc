@@ -22,14 +22,14 @@
 // mostly-sparse store. A power-law insert stream is applied in batches to
 // an isolated-node index (all rows start sparse), every touched row is
 // re-sparsified after each batch (the publish-time tier policy's job in
-// the serving tier), and Publish() closes the epoch. The same stream runs
-// twice — densify-on-write (the legacy MutableRowPtr path) vs the
-// sparse-native RowWriter path — and the headline number is the peak
-// transient dense footprint: max over epochs of epoch_peak_dense_bytes,
-// the high-water mark of dense payload *during* each batch. Densify-on-
-// write inflates every touched sparse row to a full n-entry dense row for
-// the duration of the batch; the sparse-native path merges scatter sets
-// in place and only spills rows that trip the max_density gate.
+// the serving tier), and Publish() closes the epoch. The headline number
+// is the peak transient dense footprint: max over epochs of
+// epoch_peak_dense_bytes, the high-water mark of dense payload *during*
+// each batch. The RowWriter write path merges scatter sets into the
+// sparse rows in place and only spills rows that trip the max_density
+// gate, so the bench hard-checks that the footprint stays at 0 bytes with
+// no spills. (BENCH_sparse_store.json keeps the last A/B record against
+// the retired densify-on-write path: 24.1 MB vs 0 B at n = 16384.)
 //
 // Usage: bench_sparse_store [--nodes N] [--updates U] [--queries Q]
 //          [--epsilon E] [--topk K] [--big-nodes N] [--big-updates U]
@@ -154,8 +154,7 @@ struct ChurnResult {
 // closing the epoch with Publish() so epoch_peak_dense_bytes measures the
 // transient dense footprint of exactly one batch.
 ChurnResult RunChurn(const Config& config,
-                     const std::vector<graph::EdgeUpdate>& updates,
-                     la::ScoreStore::WriteMode mode) {
+                     const std::vector<graph::EdgeUpdate>& updates) {
   simrank::SimRankOptions options;
   options.damping = 0.6;
   options.iterations = 15;
@@ -169,7 +168,6 @@ ChurnResult RunChurn(const Config& config,
   sparsity.max_density = 0.5;
   sparsity.error_amplification = 1.0 / (1.0 - options.damping);
   store->set_sparsity(sparsity);
-  store->set_write_mode(mode);
   store->Publish();  // settle the construction epoch: watermark := resident
 
   ChurnResult result;
@@ -183,9 +181,7 @@ ChurnResult RunChurn(const Config& config,
     INCSR_CHECK(index->ApplyBatch(batch).ok(), "churn batch failed");
     result.applied += batch.size();
     // Publish-time tier policy stand-in: push every touched row back to
-    // the sparse tier. Under the sparse-native path rows the batch kept
-    // sparse early-return here; under densify-on-write every touched row
-    // was inflated dense and must be re-compressed.
+    // the sparse tier (rows the batch kept sparse early-return here).
     if (index->AllScoreRowsTouched()) {
       for (std::size_t i = 0; i < config.churn_nodes; ++i) {
         store->SparsifyRow(i, {});
@@ -320,10 +316,8 @@ int Run(const Config& config) {
         static_cast<unsigned long long>(stats.rows_dense));
   }
 
-  // Phase C: sustained-ingest churn, densify-on-write vs sparse-native.
-  ChurnResult churn_legacy;
-  ChurnResult churn_native;
-  double churn_peak_reduction = 0.0;
+  // Phase C: sustained-ingest churn on a mostly-sparse store.
+  ChurnResult churn;
   if (config.churn) {
     bench::PrintHeader("sparse_store — churn: transient dense footprint");
     graph::CitationModelParams churn_params;
@@ -341,37 +335,22 @@ int Run(const Config& config) {
                 "eps = %g, max_density 0.5\n",
                 config.churn_nodes, churn_updates.size(), config.churn_batch,
                 config.churn_epsilon);
-    churn_legacy = RunChurn(config, churn_updates,
-                            la::ScoreStore::WriteMode::kDensifyOnWrite);
-    churn_native = RunChurn(config, churn_updates,
-                            la::ScoreStore::WriteMode::kSparseNative);
-    const auto report = [&](const char* label, const ChurnResult& r) {
-      std::printf(
-          "%-18s %9.0f upd/s  peak transient dense %8.3f MB  "
-          "(%llu spills, %llu sparse merges)\n",
-          label,
-          static_cast<double>(r.applied) / r.ingest_seconds,
-          static_cast<double>(r.peak_dense_bytes) / 1e6,
-          static_cast<unsigned long long>(r.store_stats.rows_spilled_dense),
-          static_cast<unsigned long long>(r.store_stats.sparse_write_merges));
-    };
-    report("densify-on-write:", churn_legacy);
-    report("sparse-native:", churn_native);
-    churn_peak_reduction =
-        static_cast<double>(churn_legacy.peak_dense_bytes) /
-        static_cast<double>(std::max<std::uint64_t>(
-            churn_native.peak_dense_bytes, 1));
-    const double upd_ratio =
-        (static_cast<double>(churn_native.applied) /
-         churn_native.ingest_seconds) /
-        (static_cast<double>(churn_legacy.applied) /
-         churn_legacy.ingest_seconds);
-    std::printf("peak transient dense bytes: %.1fx reduction, "
-                "sparse-native ingest at %.2fx of baseline\n",
-                churn_peak_reduction, upd_ratio);
-    INCSR_CHECK(churn_peak_reduction >= 5.0,
-                "churn peak reduction %.2fx below the 5x deliverable",
-                churn_peak_reduction);
+    churn = RunChurn(config, churn_updates);
+    std::printf(
+        "%9.0f upd/s  peak transient dense %8.3f MB  "
+        "(%llu spills, %llu sparse merges)\n",
+        static_cast<double>(churn.applied) / churn.ingest_seconds,
+        static_cast<double>(churn.peak_dense_bytes) / 1e6,
+        static_cast<unsigned long long>(churn.store_stats.rows_spilled_dense),
+        static_cast<unsigned long long>(
+            churn.store_stats.sparse_write_merges));
+    INCSR_CHECK(churn.peak_dense_bytes == 0,
+                "churn peak transient dense bytes %llu, expected 0",
+                static_cast<unsigned long long>(churn.peak_dense_bytes));
+    INCSR_CHECK(churn.store_stats.rows_spilled_dense == 0,
+                "churn spilled %llu rows to dense, expected 0",
+                static_cast<unsigned long long>(
+                    churn.store_stats.rows_spilled_dense));
   }
 
   if (!config.json_path.empty()) {
@@ -413,25 +392,19 @@ int Run(const Config& config) {
                                     static_cast<double>(config.big_nodes) * 8)
         .Set("big_ingest_seconds", big_ingest_seconds);
     if (config.churn) {
-      const ChurnResult* churn_runs[] = {&churn_legacy, &churn_native};
-      const char* churn_labels[] = {"densify_on_write", "sparse_native"};
-      for (int i = 0; i < 2; ++i) {
-        const ChurnResult& r = *churn_runs[i];
-        bench::JsonObject* run = root.AddObject("churn_runs");
-        run->Set("label", churn_labels[i])
-            .Set("updates_per_sec",
-                 static_cast<double>(r.applied) / r.ingest_seconds)
-            .Set("peak_transient_dense_bytes", r.peak_dense_bytes)
-            .Set("rows_spilled_dense", r.store_stats.rows_spilled_dense)
-            .Set("sparse_write_merges", r.store_stats.sparse_write_merges)
-            .Set("rows_sparsified", r.store_stats.rows_sparsified)
-            .Set("rows_densified", r.store_stats.rows_densified);
-      }
+      root.AddObject("churn_runs")
+          ->Set("label", "sparse_native")
+          .Set("updates_per_sec",
+               static_cast<double>(churn.applied) / churn.ingest_seconds)
+          .Set("peak_transient_dense_bytes", churn.peak_dense_bytes)
+          .Set("rows_spilled_dense", churn.store_stats.rows_spilled_dense)
+          .Set("sparse_write_merges", churn.store_stats.sparse_write_merges)
+          .Set("rows_sparsified", churn.store_stats.rows_sparsified)
+          .Set("rows_densified", churn.store_stats.rows_densified);
       root.Set("churn_nodes", config.churn_nodes)
-          .Set("churn_updates", churn_native.applied)
+          .Set("churn_updates", churn.applied)
           .Set("churn_batch", config.churn_batch)
-          .Set("churn_epsilon", config.churn_epsilon)
-          .Set("churn_peak_reduction", churn_peak_reduction);
+          .Set("churn_epsilon", config.churn_epsilon);
     }
     INCSR_CHECK(bench::WriteJsonFile(config.json_path, root),
                 "failed to write %s", config.json_path.c_str());

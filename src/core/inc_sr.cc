@@ -113,7 +113,7 @@ Status IncSrEngine::ComputeSparseSeed(const graph::EdgeUpdate& update,
 
   // S is symmetric, so the columns [S]_{·,i} and [S]_{·,j} the seed needs
   // are the CONTIGUOUS rows i and j: one ScoreStore row resolve per scan
-  // instead of n strided shard probes. Caveat: ScatterOuter keeps S
+  // instead of n strided row probes. Caveat: ScatterOuter keeps S
   // symmetric only to rounding (entry (a,b) sums its two products in the
   // opposite order from (b,a)), so row-as-column can differ from the
   // true column in the last ulp — well inside the C^(K+1) accuracy
@@ -236,7 +236,7 @@ void IncSrEngine::ScatterOuter(const Workspace& xi, const Workspace& eta,
   // row gets its ξ-term writes and then its η-term writes — the exact
   // serial sequence — and rows are disjoint, so the result is bitwise
   // identical to the serial kernel at any thread count. Write sessions
-  // are opened serially up front: BeginWriteRow may COW-clone a shard and
+  // are opened serially up front: BeginWriteRow may COW-clone a row and
   // is writer-thread-only. Filling a session (Add / the dense fast path)
   // touches only writer-local state plus immutable base blocks, so the
   // workers stream safely; commits are serial again. A sparse-backed row

@@ -37,14 +37,15 @@ namespace incsr::core {
 ///
 /// The update entry points are generic over the score container SMatrix —
 /// la::DenseMatrix (in-place, the tests' reference path) or la::ScoreStore
-/// (row-granular copy-on-write, the serving path). SMatrix must provide
+/// (per-row copy-on-write, the serving path). SMatrix must provide
 /// rows()/cols(), operator()(i, j) and ReadRow(i, scratch) for reads
 /// (representation-agnostic: sparse-backed store rows gather into the
 /// scratch), Col(j), and BeginWriteRow(i, writer)/CommitWriteRow(writer)
-/// as the sole write entry point: kernels emit (column, delta) pairs into
-/// the la::RowWriter session and the container merges them into whatever
-/// backing the row has — dense-direct for dense rows, a sparse index-merge
-/// for sparse rows (no densify-on-write). The engine only ever opens
+/// as the sole write entry point (the store hands out no writable row
+/// pointer): kernels emit (column, delta) pairs into the la::RowWriter
+/// session and the container merges them into whatever backing the row
+/// has — dense-direct for dense rows, a sparse index-merge for sparse
+/// rows, which stay sparse. The engine only ever opens
 /// sessions for rows it actually scatters into, which is what keeps the
 /// ScoreStore's COW cost at O(affected rows) and its transient dense
 /// footprint at O(spilled rows) instead of O(touched · n). Definitions

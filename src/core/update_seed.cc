@@ -7,7 +7,7 @@ namespace incsr::core {
 namespace {
 
 // S is symmetric, so column i is row i: one contiguous row resolve
-// instead of n strided probes (on a ScoreStore, s.Col(i) pays a shard
+// instead of n strided probes (on a ScoreStore, s.Col(i) pays a row
 // lookup per element — this is the seed path's dominant memory cost).
 template <typename SMatrix>
 la::Vector SymmetricColumn(const SMatrix& s, std::size_t i) {

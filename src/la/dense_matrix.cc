@@ -277,15 +277,7 @@ DenseMatrix MultiplyTransposeA(const DenseMatrix& a, const DenseMatrix& b) {
 }
 
 double MaxAbsDiff(const DenseMatrix& a, const DenseMatrix& b) {
-  INCSR_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
-              "MaxAbsDiff shape mismatch");
-  double best = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      best = std::max(best, std::fabs(a(i, j) - b(i, j)));
-    }
-  }
-  return best;
+  return MaxAbsDiffRows(a, b);
 }
 
 bool BitwiseEqual(const DenseMatrix& a, const DenseMatrix& b) {

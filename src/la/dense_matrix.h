@@ -7,6 +7,7 @@
 #ifndef INCSR_LA_DENSE_MATRIX_H_
 #define INCSR_LA_DENSE_MATRIX_H_
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 
@@ -49,13 +50,13 @@ class DenseMatrix {
     return data_[i * cols_ + j];
   }
 
-  /// Raw pointer to row i (contiguous, cols() entries).
-  const double* RowPtr(std::size_t i) const { return &data_[i * cols_]; }
-  double* RowPtr(std::size_t i) { return &data_[i * cols_]; }
-  /// Legacy write entry point shared with la::ScoreStore (which
-  /// copy-on-writes here); for a plain dense matrix it is just the mutable
-  /// row pointer.
-  double* MutableRowPtr(std::size_t i) { return RowPtr(i); }
+  /// Raw pointer to row i (contiguous, cols() entries). Pointer
+  /// arithmetic, not data_[..], so a zero-column matrix (empty payload)
+  /// yields a valid empty row instead of indexing an empty vector.
+  const double* RowPtr(std::size_t i) const {
+    return data_.data() + i * cols_;
+  }
+  double* RowPtr(std::size_t i) { return data_.data() + i * cols_; }
   /// Representation-aware write session shared with la::ScoreStore (the
   /// kernels' write contract): a plain dense matrix always opens a
   /// dense-direct session on the row, and commit is a no-op.
@@ -132,6 +133,25 @@ DenseMatrix Multiply(const DenseMatrix& a, const DenseMatrix& b);
 DenseMatrix MultiplyTransposeB(const DenseMatrix& a, const DenseMatrix& b);
 /// C = Aᵀ · B.
 DenseMatrix MultiplyTransposeA(const DenseMatrix& a, const DenseMatrix& b);
+
+/// Largest |a - b| entry over two equally shaped row-readable matrices
+/// (anything with rows(), cols() and ReadRow: DenseMatrix, la::ScoreStore
+/// and its View) — the one row loop behind every matrix MaxAbsDiff
+/// overload. NaN when any entry pair holds a NaN (see MaxAbsDiffSpan).
+template <typename A, typename B>
+double MaxAbsDiffRows(const A& a, const B& b) {
+  INCSR_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
+              "MaxAbsDiff shape mismatch (%zu,%zu) vs (%zu,%zu)", a.rows(),
+              a.cols(), b.rows(), b.cols());
+  double max_diff = 0.0;
+  Vector scratch_a;
+  Vector scratch_b;
+  for (std::size_t i = 0; i < a.rows() && !std::isnan(max_diff); ++i) {
+    max_diff = MaxAbsDiffSpan(a.ReadRow(i, &scratch_a),
+                              b.ReadRow(i, &scratch_b), a.cols(), max_diff);
+  }
+  return max_diff;
+}
 
 /// Largest |a - b| entry over two equally shaped matrices.
 double MaxAbsDiff(const DenseMatrix& a, const DenseMatrix& b);

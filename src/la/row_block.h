@@ -1,8 +1,8 @@
-// RowBlock — the pluggable payload unit behind la::ScoreStore. A block is
-// a tagged struct (no virtual dispatch on the read hot path): either a
-// dense row-major slab of `rows_in_block × cols` doubles, or — for
-// single-row blocks — a threshold-sparsified row stored as sorted column
-// ids with parallel values (index+value compressed layout).
+// RowBlock — the pluggable payload unit behind la::ScoreStore, one block
+// per row. A block is a tagged struct (no virtual dispatch on the read hot
+// path): either a dense row of `cols` doubles, or a threshold-sparsified
+// row stored as sorted column ids with parallel values (index+value
+// compressed layout).
 //
 // Sparsification contract (see docs/score_store.md):
 //   - An entry v is RETAINED when its column is in `keep_cols` (the row's
@@ -41,10 +41,9 @@ struct RowBlock {
   enum class Kind : std::uint8_t { kDense, kSparse };
 
   Kind kind = Kind::kDense;
-  /// kDense: rows_in_block × cols doubles, row-major.
+  /// kDense: the row's cols doubles.
   TrackedDoubles dense;
-  /// kSparse (single-row blocks only): strictly increasing column ids with
-  /// parallel values.
+  /// kSparse: strictly increasing column ids with parallel values.
   TrackedIndices sparse_cols;
   TrackedDoubles sparse_vals;
 
@@ -60,23 +59,24 @@ struct RowBlock {
   /// Value at `col` of a sparse block (+0.0 when not stored). O(log nnz).
   double SparseAt(std::size_t col) const;
 
+  /// Value at `col` whatever the representation.
+  double At(std::size_t col) const {
+    return is_sparse() ? SparseAt(col) : dense[col];
+  }
+
   /// Expands a sparse block into `dst[0..num_cols)`: absent columns become
   /// exact +0.0, stored entries keep their bit patterns.
   void GatherInto(std::size_t num_cols, double* dst) const;
 };
 
-/// Contiguous read access to one row of `block` regardless of its
+/// Contiguous read access to `block`'s row regardless of its
 /// representation: a dense row returns its payload pointer untouched; a
 /// sparse row is gathered into *scratch (resized to num_cols) and that
-/// buffer is returned. `local_row` is the row's offset within the block.
-/// This is the single scratch-gather implementation behind both
-/// ScoreStore::ReadRow and ScoreStore::View::ReadRow.
+/// buffer is returned. This is the single scratch-gather implementation
+/// behind both ScoreStore::ReadRow and ScoreStore::View::ReadRow.
 inline const double* ReadRowFromBlock(const RowBlock& block,
-                                      std::size_t local_row,
                                       std::size_t num_cols, Vector* scratch) {
-  if (!block.is_sparse()) {
-    return &block.dense[local_row * num_cols];
-  }
+  if (!block.is_sparse()) return block.dense.data();
   scratch->Resize(num_cols);
   block.GatherInto(num_cols, scratch->data());
   return scratch->data();

@@ -1,11 +1,11 @@
 // RowWriter — the representation-aware write session behind the kernel
-// write contract. Kernels used to receive a flat dense `double*` for every
-// row they scatter into, which forced ScoreStore to densify sparse rows on
-// write (transiently materializing O(touched · n) dense bytes per batch).
-// A RowWriter instead lets the store pick the cheapest backing per row:
+// write contract, and the only way to write a la::ScoreStore row (the
+// store hands out no writable row pointer). Handing kernels a flat dense
+// `double*` per row would force the store to densify sparse rows on write
+// (transiently materializing O(touched · n) dense bytes per batch); a
+// RowWriter instead lets the store pick the cheapest backing per row:
 //
-//   - Dense-direct: the row is dense-backed (or the store is in
-//     densify-on-write compatibility mode), so the writer wraps the raw
+//   - Dense-direct: the row is dense-backed, so the writer wraps the raw
 //     row pointer and Add() compiles down to `row[col] += delta`.
 //   - Sparse session: the row stays in its sparse block. Add() accumulates
 //     (column, delta) pairs in a writer-local open-addressing table; the
@@ -14,8 +14,8 @@
 //     would have gathered), then every delta applies immediately. The
 //     per-column floating-point sequence is therefore IDENTICAL to
 //     writing through a densified row: (stored + d₁) + d₂ + …, in kernel
-//     emission order — which is what keeps sparse-native commits bitwise
-//     equal to the densify-on-write path at ε = 0.
+//     emission order — which is what keeps sparse commits bitwise equal
+//     to the same writes on a dense-backed row at ε = 0.
 //
 // Dense() spills a sparse session to a writer-local dense buffer (gather
 // base, flush accumulated touches) for kernels that genuinely write O(n)
@@ -24,8 +24,7 @@
 //
 // Threading: Begin*/commit are store-side and writer-thread-only, but
 // Add()/Dense() touch only writer-local state plus the IMMUTABLE base
-// block, so disjoint rows' writers may be filled from parallel workers —
-// the same discipline as the old pre-materialized row pointers.
+// block, so disjoint rows' writers may be filled from parallel workers.
 #ifndef INCSR_LA_ROW_WRITER_H_
 #define INCSR_LA_ROW_WRITER_H_
 

@@ -10,8 +10,6 @@ namespace incsr::la {
 
 namespace {
 
-bool IsPowerOfTwo(std::size_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
 // Materializes any row-readable container (store or view) bitwise,
 // representation-agnostic via ReadRow.
 template <typename RowsLike>
@@ -25,38 +23,22 @@ DenseMatrix MaterializeRows(const RowsLike& m) {
   return out;
 }
 
-std::size_t Log2(std::size_t pow2) {
-  std::size_t shift = 0;
-  while ((std::size_t{1} << shift) < pow2) ++shift;
-  return shift;
-}
-
 }  // namespace
 
 DenseMatrix ScoreStore::View::ToDense() const { return MaterializeRows(*this); }
 
-ScoreStore::ScoreStore(DenseMatrix dense, std::size_t rows_per_shard) {
-  INCSR_CHECK(IsPowerOfTwo(rows_per_shard),
-              "rows_per_shard %zu is not a power of two", rows_per_shard);
-  rows_ = dense.rows();
-  cols_ = dense.cols();
-  shard_shift_ = Log2(rows_per_shard);
-  shard_mask_ = rows_per_shard - 1;
-  BuildShards(dense);
-}
+ScoreStore::ScoreStore(DenseMatrix dense) { Assign(std::move(dense)); }
 
 ScoreStore ScoreStore::ScaledIdentity(std::size_t n, double value) {
   ScoreStore store;
   store.rows_ = n;
   store.cols_ = n;
-  store.shard_shift_ = 0;
-  store.shard_mask_ = 0;
-  store.shards_.resize(n);
+  store.blocks_.resize(n);
   store.shared_.assign(n, 0);
   store.all_rows_touched_ = true;
   for (std::size_t i = 0; i < n; ++i) {
-    store.shards_[i] = MakeSingleEntryRow(i, value);
-    store.stats_.sparse_payload_bytes += store.shards_[i]->payload_bytes();
+    store.blocks_[i] = MakeSingleEntryRow(i, value);
+    store.stats_.sparse_payload_bytes += store.blocks_[i]->payload_bytes();
   }
   store.stats_.rows_sparse = n;
   store.stats_.rows_materialized += n;
@@ -65,9 +47,6 @@ ScoreStore ScoreStore::ScaledIdentity(std::size_t n, double value) {
 }
 
 void ScoreStore::set_sparsity(const SparsityConfig& config) {
-  INCSR_CHECK(shard_shift_ == 0,
-              "sparse row blocks need rows_per_shard == 1, have %zu",
-              rows_per_shard());
   INCSR_CHECK(config.epsilon >= 0.0 && config.max_density > 0.0 &&
                   config.error_amplification >= 1.0,
               "invalid sparsity config (eps %g, density %g, amplification %g)",
@@ -76,26 +55,21 @@ void ScoreStore::set_sparsity(const SparsityConfig& config) {
   sparsity_enabled_ = true;
 }
 
-std::size_t ScoreStore::RowsInShard(std::size_t shard) const {
-  const std::size_t first = shard << shard_shift_;
-  return std::min(rows_ - first, std::size_t{1} << shard_shift_);
-}
-
-void ScoreStore::RecordTouchedShard(std::size_t s) {
-  if (all_rows_touched_) return;
-  const std::size_t first = s << shard_shift_;
-  const std::size_t count = RowsInShard(s);
-  for (std::size_t r = 0; r < count; ++r) {
-    touched_rows_.push_back(static_cast<std::int32_t>(first + r));
+void ScoreStore::ReplaceRow(std::size_t i,
+                            std::shared_ptr<const RowBlock> block) {
+  if (shared_[i] && !all_rows_touched_) {
+    touched_rows_.push_back(static_cast<std::int32_t>(i));
   }
+  blocks_[i] = std::move(block);
+  shared_[i] = 0;
 }
 
-void ScoreStore::BuildShards(const DenseMatrix& dense) {
-  const std::size_t num_shards =
-      rows_ == 0 ? 0 : ((rows_ + shard_mask_) >> shard_shift_);
-  shards_.assign(num_shards, nullptr);
-  shared_.assign(num_shards, 0);
-  // Writes between now and the first Publish() hit unshared shards and are
+void ScoreStore::Assign(DenseMatrix dense) {
+  rows_ = dense.rows();
+  cols_ = dense.cols();
+  blocks_.assign(rows_, nullptr);
+  shared_.assign(rows_, 0);
+  // Writes between now and the first Publish() hit unshared rows and are
   // not individually tracked — the whole matrix counts as touched.
   all_rows_touched_ = true;
   touched_rows_.clear();
@@ -107,24 +81,20 @@ void ScoreStore::BuildShards(const DenseMatrix& dense) {
   stats_.rows_sparse = 0;
   stats_.sparse_payload_bytes = 0;
   BumpDensePeak();
-  // Shard payloads are disjoint and each is a pure copy, so the
+  // Row payloads are disjoint and each is a pure copy, so the
   // materialization parallelizes deterministically; this is what makes
   // a shard-merge's FromState re-init row-parallel instead of the O(n²)
   // serial copy it used to be. Aim for ~32K doubles per chunk.
-  const std::size_t grain = std::max<std::size_t>(
-      1, 32768 / std::max<std::size_t>(
-                     (std::size_t{1} << shard_shift_) * cols_, 1));
+  const std::size_t grain =
+      std::max<std::size_t>(1, 32768 / std::max<std::size_t>(cols_, 1));
   Scheduler::Global().ParallelFor(
-      0, num_shards, grain, Scheduler::ResolveNumThreads(0),
+      0, rows_, grain, Scheduler::ResolveNumThreads(0),
       [this, &dense](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          auto shard = std::make_shared<RowBlock>();
-          const std::size_t first = s << shard_shift_;
-          const std::size_t count = RowsInShard(s);
-          shard->dense.resize(count * cols_);
-          const double* src = dense.RowPtr(first);
-          std::copy(src, src + count * cols_, shard->dense.data());
-          shards_[s] = std::move(shard);
+        for (std::size_t i = lo; i < hi; ++i) {
+          auto block = std::make_shared<RowBlock>();
+          const double* src = dense.RowPtr(i);
+          block->dense.assign(src, src + cols_);
+          blocks_[i] = std::move(block);
         }
       });
 }
@@ -142,96 +112,65 @@ void ScoreStore::BumpDensePeak() {
   }
 }
 
-double* ScoreStore::MutableRowPtr(std::size_t i) {
-  INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-  const std::size_t s = i >> shard_shift_;
-  const RowBlock* block = shards_[s].get();
-  if (block->is_sparse()) {
-    // Densify-on-write (legacy shim semantics): the caller wants a flat
-    // row, whatever the tier. The fresh dense block is unshared whether or
-    // not the sparse one was — a still-shared sparse block stays alive for
-    // its Views. Counted as a write-path spill, not a tier promotion.
-    if (shared_[s]) RecordTouchedShard(s);
-    stats_.sparse_payload_bytes -= block->payload_bytes();
-    --stats_.rows_sparse;
-    ++stats_.rows_spilled_dense;
-    TRACE_COUNTER_ARG(kStoreWriteSpill, i, 1);
-    shards_[s] = DensifyBlock(*block, cols_);
-    shared_[s] = 0;
-    BumpDensePeak();
-  } else if (shared_[s]) {
-    // First write into a shard some published View references: clone it.
-    // The old shard stays alive (and byte-stable) for as long as any View
-    // holds it; this clone IS the incremental publish cost.
-    auto clone = std::make_shared<RowBlock>();
-    clone->dense = block->dense;
-    stats_.rows_copied += RowsInShard(s);
-    stats_.bytes_copied += clone->dense.size() * sizeof(double);
-    TRACE_COUNTER_ARG(kStoreRowCow, RowsInShard(s),
-                      clone->dense.size() * sizeof(double));
-    shards_[s] = std::move(clone);
-    shared_[s] = 0;
-    // The clone happens exactly once per shard per epoch, so this stays
-    // duplicate-free without a lookup.
-    RecordTouchedShard(s);
-  }
-  // const_cast is sound: an unshared shard is exclusively owned by this
-  // store, and only the single writer thread reaches this path.
-  auto* shard = const_cast<RowBlock*>(shards_[s].get());
-  return &shard->dense[(i & shard_mask_) * cols_];
-}
-
 void ScoreStore::BeginWriteRow(std::size_t i, RowWriter* w) {
   INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-  const std::size_t s = i >> shard_shift_;
-  if (shards_[s]->is_sparse() && write_mode_ == WriteMode::kSparseNative) {
-    // Sparse-native session: deltas accumulate against the pinned base
-    // block, and nothing in the shard table changes until commit — so a
-    // reader (or a parallel Add on another row's writer) never observes a
-    // half-written row. Sparse blocks exist only at rows_per_shard == 1.
-    w->BeginSparse(i, cols_, shards_[s]);
+  const RowBlock& block = *blocks_[i];
+  if (block.is_sparse()) {
+    // Sparse session: deltas accumulate against the pinned base block, and
+    // nothing in the row table changes until commit — so a reader (or a
+    // parallel Add on another row's writer) never observes a half-written
+    // row.
+    w->BeginSparse(i, cols_, blocks_[i]);
     return;
   }
-  // Dense-backed row — or the legacy densify-on-write mode: resolve COW
-  // (and the densify, with its spill accounting) exactly like the shim.
-  w->BeginDense(i, MutableRowPtr(i));
+  if (shared_[i]) {
+    // First write into a row some published View references: clone it.
+    // The old block stays alive (and byte-stable) for as long as any View
+    // holds it; this clone IS the incremental publish cost.
+    auto clone = std::make_shared<RowBlock>();
+    clone->dense = block.dense;
+    const std::size_t bytes = clone->dense.size() * sizeof(double);
+    ++stats_.rows_copied;
+    stats_.bytes_copied += bytes;
+    TRACE_COUNTER_ARG(kStoreRowCow, 1, bytes);
+    ReplaceRow(i, std::move(clone));
+  }
+  // const_cast is sound: an unshared block is exclusively owned by this
+  // store, and only the single writer thread reaches this path.
+  w->BeginDense(i, const_cast<RowBlock*>(blocks_[i].get())->dense.data());
 }
 
 void ScoreStore::CommitWriteRow(RowWriter* w) {
-  if (w->direct_dense()) {
-    // The writes already landed through the flat pointer; Begin did the
-    // COW/touched bookkeeping.
+  if (w->direct_dense() || !w->touched()) {
+    // Dense-direct: the writes already landed through the flat pointer and
+    // Begin did the COW/touched bookkeeping. Zero writes: the row's
+    // readable bytes are unchanged, so keep the base block (and its shared
+    // flag) as they are.
     w->Finish();
     return;
   }
-  if (!w->touched()) {
-    // Zero writes: the row's readable bytes are unchanged, so keep the
-    // base block (and its shared flag) as they are.
-    w->Finish();
-    return;
-  }
-  const std::size_t s = w->row();  // sparse sessions ⇒ rows_per_shard == 1
+  const std::size_t i = w->row();
   const std::size_t max_nnz = static_cast<std::size_t>(
       sparsity_.max_density * static_cast<double>(cols_));
   bool landed_sparse = false;
   if (!w->spilled()) {
     landed_sparse =
         w->MergeSparse(max_nnz, &merge_scratch_cols_, &merge_scratch_vals_);
-    if (landed_sparse && !shared_[s]) {
-      // The shard is already writer-private this epoch, so — by the same
-      // exclusivity argument as MutableRowPtr's const_cast — the merged
+    if (landed_sparse && !shared_[i]) {
+      // The row is already writer-private this epoch, so — by the same
+      // exclusivity argument as BeginWriteRow's const_cast — the merged
       // arrays can swap into the live block directly. The displaced arrays
       // become the next commit's scratch, so a row merged repeatedly
       // within one batch allocates nothing after the first merge. The
       // writer's pinned base is this very block, but MergeSparse finished
       // reading it before the swap and Finish() only drops the pin.
-      auto* block = const_cast<RowBlock*>(shards_[s].get());
+      auto* block = const_cast<RowBlock*>(blocks_[i].get());
       stats_.sparse_payload_bytes -= block->payload_bytes();
       block->sparse_cols.swap(merge_scratch_cols_);
       block->sparse_vals.swap(merge_scratch_vals_);
       stats_.sparse_payload_bytes += block->payload_bytes();
       ++stats_.sparse_write_merges;
-      TRACE_COUNTER_ARG(kStoreSparseMerge, w->row(), block->payload_bytes());
+      TRACE_COUNTER_ARG(kStoreSparseMerge, i, block->payload_bytes());
       w->Finish();
       return;
     }
@@ -249,22 +188,17 @@ void ScoreStore::CommitWriteRow(RowWriter* w) {
     block->sparse_cols = std::move(merge_scratch_cols_);
     block->sparse_vals = std::move(merge_scratch_vals_);
   }
-  stats_.sparse_payload_bytes -= shards_[s]->payload_bytes();
+  stats_.sparse_payload_bytes -= blocks_[i]->payload_bytes();
   if (landed_sparse) {
     stats_.sparse_payload_bytes += block->payload_bytes();
     ++stats_.sparse_write_merges;
-    TRACE_COUNTER_ARG(kStoreSparseMerge, w->row(), block->payload_bytes());
+    TRACE_COUNTER_ARG(kStoreSparseMerge, i, block->payload_bytes());
   } else {
     --stats_.rows_sparse;
     ++stats_.rows_spilled_dense;
-    TRACE_COUNTER_ARG(kStoreWriteSpill, w->row(), 1);
+    TRACE_COUNTER_ARG(kStoreWriteSpill, i, 1);
   }
-  // Same shared→unshared bookkeeping as a COW clone: the swap happens at
-  // most once per shard per epoch while shared, keeping the touched delta
-  // duplicate-free.
-  if (shared_[s]) RecordTouchedShard(s);
-  shards_[s] = std::move(block);
-  shared_[s] = 0;
+  ReplaceRow(i, std::move(block));
   if (!landed_sparse) BumpDensePeak();
   w->Finish();
 }
@@ -274,18 +208,12 @@ bool ScoreStore::SparsifyRow(std::size_t i,
                              std::size_t* dropped_out) {
   INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
   INCSR_CHECK(sparsity_enabled_, "SparsifyRow without set_sparsity");
-  const std::size_t s = i;  // rows_per_shard == 1, enforced by set_sparsity
-  const RowBlock& block = *shards_[s];
+  const RowBlock& block = *blocks_[i];
   if (block.is_sparse()) return false;
   SparsifyResult result =
       SparsifyDenseRow(block.dense.data(), cols_, sparsity_.epsilon,
                        sparsity_.max_density, keep_cols);
   if (!result.block) return false;  // density gate: stay dense
-  // A shared→unshared transition enters the touched delta even when the
-  // readable bytes did not change (dropped == 0): the invariant "unshared
-  // implies already recorded this epoch" is what lets MutableRowPtr skip
-  // the lookup, and a spurious re-rank of a demoted row is cheap.
-  if (shared_[s]) RecordTouchedShard(s);
   stats_.sparse_payload_bytes += result.block->payload_bytes();
   ++stats_.rows_sparse;
   ++stats_.rows_sparsified;
@@ -295,24 +223,24 @@ bool ScoreStore::SparsifyRow(std::size_t i,
     stats_.max_error_bound +=
         result.max_dropped_abs * sparsity_.error_amplification;
   }
-  shards_[s] = std::move(result.block);
-  shared_[s] = 0;
+  // A shared→unshared transition enters the touched delta even when the
+  // readable bytes did not change (dropped == 0): the invariant "unshared
+  // implies already recorded this epoch" is what lets BeginWriteRow skip
+  // the lookup, and a spurious re-rank of a demoted row is cheap.
+  ReplaceRow(i, std::move(result.block));
   if (dropped_out != nullptr) *dropped_out = result.dropped;
   return true;
 }
 
 bool ScoreStore::DensifyRow(std::size_t i) {
   INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-  const std::size_t s = i >> shard_shift_;
-  const RowBlock& block = *shards_[s];
+  const RowBlock& block = *blocks_[i];
   if (!block.is_sparse()) return false;
-  if (shared_[s]) RecordTouchedShard(s);
   stats_.sparse_payload_bytes -= block.payload_bytes();
   --stats_.rows_sparse;
   ++stats_.rows_densified;
   TRACE_COUNTER_ARG(kStoreTierPromote, i, 1);
-  shards_[s] = DensifyBlock(block, cols_);
-  shared_[s] = 0;
+  ReplaceRow(i, DensifyBlock(block, cols_));
   BumpDensePeak();
   return true;
 }
@@ -344,9 +272,7 @@ ScoreStore::View ScoreStore::Publish() {
   View view;
   view.rows_ = rows_;
   view.cols_ = cols_;
-  view.shard_shift_ = shard_shift_;
-  view.shard_mask_ = shard_mask_;
-  view.shards_ = shards_;  // O(#shards) pointer copies — the whole cost
+  view.blocks_ = blocks_;  // O(n) pointer copies — the whole cost
   std::fill(shared_.begin(), shared_.end(), std::uint8_t{1});
   // The published view now IS the previous epoch: the delta restarts empty,
   // and the transient-dense watermark restarts at the resident footprint.
@@ -356,35 +282,6 @@ ScoreStore::View ScoreStore::Publish() {
   ++stats_.publishes;
   return view;
 }
-
-void ScoreStore::Assign(DenseMatrix dense) {
-  rows_ = dense.rows();
-  cols_ = dense.cols();
-  BuildShards(dense);
-}
-
-namespace {
-
-template <typename A, typename B>
-double MaxAbsDiffRows(const A& a, const B& b) {
-  INCSR_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
-              "MaxAbsDiff shape mismatch (%zu,%zu) vs (%zu,%zu)", a.rows(),
-              a.cols(), b.rows(), b.cols());
-  double max_diff = 0.0;
-  Vector scratch_a;
-  Vector scratch_b;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* pa = a.ReadRow(i, &scratch_a);
-    const double* pb = b.ReadRow(i, &scratch_b);
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      const double diff = pa[j] > pb[j] ? pa[j] - pb[j] : pb[j] - pa[j];
-      if (diff > max_diff) max_diff = diff;
-    }
-  }
-  return max_diff;
-}
-
-}  // namespace
 
 double MaxAbsDiff(const ScoreStore& a, const DenseMatrix& b) {
   return MaxAbsDiffRows(a, b);

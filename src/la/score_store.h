@@ -1,34 +1,31 @@
-// ScoreStore — a row-sharded copy-on-write similarity matrix. The paper's
+// ScoreStore — a per-row copy-on-write similarity matrix. The paper's
 // central observation is that an edge update perturbs only a small affected
 // area of S; the serving layer therefore should not pay O(n²) to publish an
 // epoch snapshot when a batch touched only a few rows. ScoreStore makes the
 // touched-row structure explicit in storage:
 //
-//   - Rows live in immutable, reference-counted row blocks behind a
-//     row-pointer table. A block covers `rows_per_shard` consecutive rows
-//     (power of two; default 1, i.e. a pure per-row table), and its payload
-//     is pluggable (la::RowBlock): a dense row-major slab, or — per row,
-//     when sparsity is enabled — a threshold-sparsified index+value layout
-//     holding only entries ≥ ε plus the row's protected top-k columns.
+//   - Every row lives in its own immutable, reference-counted block behind
+//     a row-pointer table. A block's payload is pluggable (la::RowBlock):
+//     a dense row, or — when sparsity is enabled — a threshold-sparsified
+//     index+value layout holding only entries ≥ ε plus the row's protected
+//     top-k columns.
 //   - Publish() snapshots the matrix by copying the POINTER TABLE only —
-//     O(n / rows_per_shard) shared_ptr bumps, never the O(n²) payload —
-//     and marks every block as shared with that View.
-//   - BeginWriteRow(i)/CommitWriteRow() is the write entry point: the
-//     store opens a representation-aware RowWriter session per row. A
+//     O(n) shared_ptr bumps, never the O(n²) payload — and marks every
+//     block as shared with that View.
+//   - BeginWriteRow(i)/CommitWriteRow() is the one write path: the store
+//     opens a representation-aware RowWriter session per row. A
 //     dense-backed row hands out its flat pointer (cloning the block first
 //     if it is shared with a live or past View — copy-on-write); a
-//     sparse-backed row, under the default kSparseNative write mode, stays
-//     sparse: the kernel's (column, delta) stream accumulates in the
-//     writer and commit index-merges it with the immutable base block,
-//     spilling to dense only past the max_density gate (counted as
+//     sparse-backed row stays sparse: the kernel's (column, delta) stream
+//     accumulates in the writer and commit index-merges it with the
+//     immutable base block, spilling to dense only past the max_density
+//     gate or on an explicit RowWriter::Dense() (counted as
 //     rows_spilled_dense, separate from explicit DensifyRow promotions).
-//     MutableRowPtr(i) remains as a compatibility shim with the old
-//     densify-on-write semantics, which kDensifyOnWrite mode restores for
-//     the whole store (the A/B baseline). The serving layer re-sparsifies
-//     cold rows at publish time (SparsifyRow/DensifyRow), so the tier a
-//     row occupies is earned by its traffic, not fixed at construction —
-//     but under sparse-native writes a batch-touched sparse row never
-//     leaves its tier, so publish no longer pays a re-sparsify for it.
+//     The serving layer re-sparsifies cold rows at publish time
+//     (SparsifyRow/DensifyRow), so the tier a row occupies is earned by
+//     its traffic, not fixed at construction; a batch-touched sparse row
+//     never leaves its tier, so publish pays no re-sparsify for it.
+//   - ReadRow(i)/operator() is the one read path, representation-agnostic.
 //
 // Accuracy contract when sparsity is enabled (docs/score_store.md): every
 // entry a sparsification drops has |v| < ε, exact +0.0 entries are always
@@ -37,13 +34,13 @@
 // bytes are bitwise identical to the dense original.
 //
 // Threading model (matches the serving layer): ONE writer thread calls the
-// mutating methods (MutableRowPtr, SparsifyRow, DensifyRow, Publish,
-// Assign); any number of reader threads read through Views they obtained
-// via a synchronizing handoff (e.g. a shared_ptr swap under a mutex).
-// Blocks are immutable once shared and freed by shared_ptr refcounting, so
-// no reader ever races a write — the COW decision uses a writer-private
-// "shared since last clone" flag, not shared_ptr::use_count(), keeping the
-// store TSan-clean by design.
+// mutating methods (BeginWriteRow/CommitWriteRow, SparsifyRow, DensifyRow,
+// Publish, Assign); any number of reader threads read through Views they
+// obtained via a synchronizing handoff (e.g. a shared_ptr swap under a
+// mutex). Blocks are immutable once shared and freed by shared_ptr
+// refcounting, so no reader ever races a write — the COW decision uses a
+// writer-private "shared since last clone" flag, not
+// shared_ptr::use_count(), keeping the store TSan-clean by design.
 #ifndef INCSR_LA_SCORE_STORE_H_
 #define INCSR_LA_SCORE_STORE_H_
 
@@ -86,9 +83,9 @@ struct ScoreStoreStats {
   /// Cumulative sparse→dense transitions, split by cause:
   /// `rows_densified` counts EXPLICIT DensifyRow promotions (tier policy
   /// promoting a hot row); `rows_spilled_dense` counts write-path
-  /// densifications (MutableRowPtr densify-on-write, RowWriter Dense()
-  /// spills, and sparse-native commits past the max_density gate). Their
-  /// sum equals the single conflated counter older benches recorded.
+  /// densifications (RowWriter Dense() spills and sparse commits past the
+  /// max_density gate). Their sum equals the single conflated counter
+  /// older benches recorded.
   std::uint64_t rows_densified = 0;
   std::uint64_t rows_spilled_dense = 0;
   /// Sparse-native write sessions that committed as an index-merge (the
@@ -127,14 +124,14 @@ struct SparsityConfig {
   double error_amplification = 1.0;
 };
 
-/// Row-sharded copy-on-write score matrix. See file comment.
+/// Per-row copy-on-write score matrix. See file comment.
 class ScoreStore {
-  using ShardTable = std::vector<std::shared_ptr<const RowBlock>>;
+  using RowTable = std::vector<std::shared_ptr<const RowBlock>>;
 
  public:
   /// Immutable snapshot of the row-pointer table. Copying a View copies
-  /// the table (O(#shards)); pinning an existing View via shared_ptr is
-  /// O(1). Reads are valid and byte-stable for the View's lifetime.
+  /// the table (O(n)); pinning an existing View via shared_ptr is O(1).
+  /// Reads are valid and byte-stable for the View's lifetime.
   class View {
    public:
     View() = default;
@@ -146,24 +143,13 @@ class ScoreStore {
     double operator()(std::size_t i, std::size_t j) const {
       INCSR_DCHECK(i < rows_ && j < cols_, "view index (%zu,%zu) out of (%zu,%zu)",
                    i, j, rows_, cols_);
-      const RowBlock& block = *shards_[i >> shard_shift_];
-      return block.is_sparse() ? block.SparseAt(j)
-                               : block.dense[(i & shard_mask_) * cols_ + j];
+      return blocks_[i]->At(j);
     }
 
     /// True when row i is backed by the sparse layout.
     bool RowIsSparse(std::size_t i) const {
       INCSR_DCHECK(i < rows_, "view row %zu out of %zu", i, rows_);
-      return shards_[i >> shard_shift_]->is_sparse();
-    }
-
-    /// Raw pointer to row i (contiguous, cols() entries). Valid only for
-    /// dense rows; representation-agnostic readers use ReadRow.
-    const double* RowPtr(std::size_t i) const {
-      INCSR_DCHECK(i < rows_, "view row %zu out of %zu", i, rows_);
-      const RowBlock& block = *shards_[i >> shard_shift_];
-      INCSR_DCHECK(!block.is_sparse(), "RowPtr on sparse row %zu", i);
-      return &block.dense[(i & shard_mask_) * cols_];
+      return blocks_[i]->is_sparse();
     }
 
     /// Contiguous read access to row i regardless of its representation: a
@@ -173,8 +159,7 @@ class ScoreStore {
     /// same scratch.
     const double* ReadRow(std::size_t i, Vector* scratch) const {
       INCSR_DCHECK(i < rows_, "view row %zu out of %zu", i, rows_);
-      return ReadRowFromBlock(*shards_[i >> shard_shift_], i & shard_mask_,
-                              cols_, scratch);
+      return ReadRowFromBlock(*blocks_[i], cols_, scratch);
     }
 
     /// Materializes the viewed matrix (bitwise-exact copy).
@@ -184,15 +169,12 @@ class ScoreStore {
     friend class ScoreStore;
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
-    std::size_t shard_shift_ = 0;
-    std::size_t shard_mask_ = 0;
-    ShardTable shards_;
+    RowTable blocks_;
   };
 
   ScoreStore() = default;
-  /// Takes ownership of a dense matrix; rows_per_shard must be a power of
-  /// two (1 = one shard per row).
-  explicit ScoreStore(DenseMatrix dense, std::size_t rows_per_shard = 1);
+  /// Takes ownership of a dense matrix, one dense block per row.
+  explicit ScoreStore(DenseMatrix dense);
 
   /// n×n matrix `value · I` built sparse-direct: one stored entry per row,
   /// O(n) total instead of the O(n²) dense slab. This is how an engine
@@ -203,63 +185,34 @@ class ScoreStore {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
-  std::size_t rows_per_shard() const { return std::size_t{1} << shard_shift_; }
 
   double operator()(std::size_t i, std::size_t j) const {
     INCSR_DCHECK(i < rows_ && j < cols_, "index (%zu,%zu) out of (%zu,%zu)", i,
                  j, rows_, cols_);
-    const RowBlock& block = *shards_[i >> shard_shift_];
-    return block.is_sparse() ? block.SparseAt(j)
-                             : block.dense[(i & shard_mask_) * cols_ + j];
+    return blocks_[i]->At(j);
   }
 
   /// True when row i is backed by the sparse layout.
   bool RowIsSparse(std::size_t i) const {
     INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-    return shards_[i >> shard_shift_]->is_sparse();
-  }
-
-  /// Raw pointer to row i for READS (contiguous, cols() entries). Never
-  /// triggers a copy; do not write through it. Valid only for dense rows —
-  /// representation-agnostic readers use ReadRow.
-  const double* RowPtr(std::size_t i) const {
-    INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-    const RowBlock& block = *shards_[i >> shard_shift_];
-    INCSR_DCHECK(!block.is_sparse(), "RowPtr on sparse row %zu", i);
-    return &block.dense[(i & shard_mask_) * cols_];
+    return blocks_[i]->is_sparse();
   }
 
   /// Contiguous read access to row i regardless of representation (see
   /// View::ReadRow).
   const double* ReadRow(std::size_t i, Vector* scratch) const {
     INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-    return ReadRowFromBlock(*shards_[i >> shard_shift_], i & shard_mask_,
-                            cols_, scratch);
+    return ReadRowFromBlock(*blocks_[i], cols_, scratch);
   }
 
-  /// Raw pointer to row i for WRITES — the densify-on-write compatibility
-  /// shim. Clones the containing block first if it is shared with any
-  /// published View (copy-on-write), densifying a sparse block in the same
-  /// step (counted as rows_spilled_dense). New code uses BeginWriteRow/
-  /// CommitWriteRow, which keeps sparse rows sparse. Writer thread only.
-  double* MutableRowPtr(std::size_t i);
-
-  /// How writes land on sparse-backed rows. kSparseNative (the default)
-  /// keeps them sparse via RowWriter accumulation sessions; kDensifyOnWrite
-  /// restores the legacy behavior — every touched sparse row densifies —
-  /// as the A/B baseline and for representation-bisection debugging. Both
-  /// modes produce bitwise-identical readable bytes at ε = 0.
-  enum class WriteMode : std::uint8_t { kSparseNative, kDensifyOnWrite };
-  void set_write_mode(WriteMode mode) { write_mode_ = mode; }
-  WriteMode write_mode() const { return write_mode_; }
-
-  /// Opens a write session for row i on *w (see la::RowWriter): dense rows
-  /// (and sparse rows under kDensifyOnWrite) get a dense-direct session
-  /// after the usual COW resolution; sparse rows under kSparseNative get
-  /// an accumulation session against the immutable base block — nothing
-  /// the store publishes changes until CommitWriteRow. Writer thread only;
-  /// sessions on DISJOINT rows may be filled (Add/Dense) from parallel
-  /// workers between Begin and Commit.
+  /// Opens a write session for row i on *w (see la::RowWriter) — the one
+  /// write path. A dense row gets a dense-direct session onto its flat
+  /// payload, cloned first when a published View shares it
+  /// (copy-on-write); a sparse row gets an accumulation session against
+  /// the immutable base block, so nothing the store publishes changes
+  /// until CommitWriteRow. Writer thread only; sessions on DISJOINT rows
+  /// may be filled (Add/Dense) from parallel workers between Begin and
+  /// Commit.
   void BeginWriteRow(std::size_t i, RowWriter* w);
 
   /// Closes a session opened by BeginWriteRow. Dense-direct sessions are a
@@ -272,8 +225,7 @@ class ScoreStore {
 
   // ---- Tiered sparse backing ----------------------------------------------
 
-  /// Enables per-row sparsification under `config`. Requires
-  /// rows_per_shard == 1 (the sparse layout is a per-row structure).
+  /// Enables per-row sparsification under `config`.
   void set_sparsity(const SparsityConfig& config);
   bool sparsity_enabled() const { return sparsity_enabled_; }
   const SparsityConfig& sparsity() const { return sparsity_; }
@@ -283,8 +235,8 @@ class ScoreStore {
   /// Returns false — leaving the row dense — when the row is already
   /// sparse or fails the max_density gate. On success `*dropped_out`
   /// (optional) receives the number of lossy drops; when it is zero the
-  /// row's readable bytes are unchanged. Writer thread only; like
-  /// MutableRowPtr, a demotion of a shared row records it in the
+  /// row's readable bytes are unchanged. Writer thread only; like a
+  /// write session, a demotion of a shared row records it in the
   /// touched-row delta so index/cache maintenance sees it.
   bool SparsifyRow(std::size_t i, std::span<const std::int32_t> keep_cols,
                    std::size_t* dropped_out = nullptr);
@@ -302,9 +254,9 @@ class ScoreStore {
 
   // ---- Touched-row delta surface -----------------------------------------
   // Between two Publish() calls, the rows whose bytes may differ from the
-  // previous View are exactly the rows written through MutableRowPtr or
-  // retired/promoted by SparsifyRow/DensifyRow; the COW clone records them
-  // here at shard granularity. The serving layer reads this (before
+  // previous View are exactly the rows written through a write session or
+  // retired/promoted by SparsifyRow/DensifyRow; the shared→unshared
+  // transition records them here. The serving layer reads this (before
   // calling Publish(), which resets it) to re-rank its per-node top-k
   // index and invalidate its query cache from the rows the batch ACTUALLY
   // wrote — exact for every update algorithm, unlike the analytic
@@ -316,37 +268,35 @@ class ScoreStore {
   bool all_rows_touched() const { return all_rows_touched_; }
 
   /// Row indices copy-on-written since the last Publish(), duplicate-free
-  /// (a shard clones at most once per epoch). Meaningless while
+  /// (a row clones at most once per epoch). Meaningless while
   /// all_rows_touched() is set.
   const std::vector<std::int32_t>& touched_rows() const {
     return touched_rows_;
   }
 
-  /// Copies column j into a Vector (column scan across shards).
+  /// Copies column j into a Vector (column scan across rows).
   Vector Col(std::size_t j) const;
 
   /// Materializes the current matrix (bitwise-exact copy).
   DenseMatrix ToDense() const;
 
   /// Snapshots the current matrix as an immutable View: copies the row
-  /// pointer table and marks every shard shared, so subsequent writes COW.
-  /// O(#shards) — never touches the O(n²) payload. Writer thread only.
+  /// pointer table and marks every row shared, so subsequent writes COW.
+  /// O(n) — never touches the O(n²) payload. Writer thread only.
   View Publish();
 
   /// Replaces the whole matrix (e.g. after a node-count change). Every
-  /// shard is rebuilt unshared and dense; previously published Views keep
+  /// row is rebuilt unshared and dense; previously published Views keep
   /// serving the old content. Writer thread only.
   void Assign(DenseMatrix dense);
 
   const ScoreStoreStats& stats() const { return stats_; }
 
  private:
-  void BuildShards(const DenseMatrix& dense);
-  std::size_t RowsInShard(std::size_t shard) const;
-  // Shared→unshared transition bookkeeping: records the shard's rows in
-  // the touched delta (the transition happens at most once per shard per
-  // epoch, keeping the list duplicate-free without a lookup).
-  void RecordTouchedShard(std::size_t s);
+  // Installs `block` as row i. A shared→unshared transition records the
+  // row in the touched delta; it happens at most once per row per epoch,
+  // keeping the list duplicate-free without a lookup.
+  void ReplaceRow(std::size_t i, std::shared_ptr<const RowBlock> block);
   // Resident dense payload bytes right now, and the watermark bump every
   // dense-increasing transition calls (epoch_peak_dense_bytes).
   std::uint64_t DensePayloadBytes() const;
@@ -354,11 +304,10 @@ class ScoreStore {
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::size_t shard_shift_ = 0;
-  std::size_t shard_mask_ = 0;
-  ShardTable shards_;
-  // Writer-private COW flags: shared_[s] is true iff shard s is referenced
-  // by at least one Publish()ed table and must be cloned before mutation.
+  RowTable blocks_;
+  // Writer-private COW flags: shared_[i] is true iff row i's block is
+  // referenced by at least one Publish()ed table and must be cloned
+  // before mutation.
   std::vector<std::uint8_t> shared_;
   // Writer-private touched-row delta since the last Publish() (see the
   // delta-surface accessors above).
@@ -366,8 +315,7 @@ class ScoreStore {
   std::vector<std::int32_t> touched_rows_;
   bool sparsity_enabled_ = false;
   SparsityConfig sparsity_;
-  WriteMode write_mode_ = WriteMode::kSparseNative;
-  // CommitWriteRow merge scratch: a commit into a writer-private shard
+  // CommitWriteRow merge scratch: a commit into a writer-private row
   // swaps these with the block's arrays, so sustained churn on the same
   // rows recycles the same two buffers instead of allocating per merge.
   TrackedIndices merge_scratch_cols_;
@@ -375,7 +323,8 @@ class ScoreStore {
   ScoreStoreStats stats_;
 };
 
-/// Largest |a - b| entry, mixed-representation overloads (shape-checked).
+/// Largest |a - b| entry, mixed-representation overloads (shape-checked;
+/// NaN when any entry pair holds a NaN — see la::MaxAbsDiffRows).
 double MaxAbsDiff(const ScoreStore& a, const DenseMatrix& b);
 double MaxAbsDiff(const DenseMatrix& a, const ScoreStore& b);
 double MaxAbsDiff(const ScoreStore& a, const ScoreStore& b);

@@ -63,13 +63,20 @@ double Dot(const Vector& x, const Vector& y) {
   return acc;
 }
 
+double MaxAbsDiffSpan(const double* a, const double* b, std::size_t n,
+                      double running) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double diff = std::fabs(a[j] - b[j]);
+    // inf - inf is NaN too, but equal infinities are no difference.
+    if (std::isnan(diff) && a[j] != b[j]) return diff;
+    running = std::max(running, diff);
+  }
+  return running;
+}
+
 double MaxAbsDiff(const Vector& x, const Vector& y) {
   INCSR_CHECK(x.size() == y.size(), "MaxAbsDiff dimension mismatch");
-  double best = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    best = std::max(best, std::fabs(x[i] - y[i]));
-  }
-  return best;
+  return MaxAbsDiffSpan(x.data(), y.data(), x.size(), 0.0);
 }
 
 void SparseVector::Append(std::int32_t index, double value) {

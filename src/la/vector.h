@@ -77,7 +77,15 @@ class Vector {
 /// Inner product xᵀ·y. Dimensions must match.
 double Dot(const Vector& x, const Vector& y);
 
-/// Largest absolute difference between two equally sized vectors.
+/// Largest |a[j] - b[j]| over n entries, folded into `running`: the one
+/// inner loop behind every MaxAbsDiff overload. A pair holding a NaN
+/// returns NaN at once, so a tolerance check written as
+/// `MaxAbsDiff(..) <= tol` fails on it instead of skipping it.
+double MaxAbsDiffSpan(const double* a, const double* b, std::size_t n,
+                      double running);
+
+/// Largest absolute difference between two equally sized vectors (NaN when
+/// either holds a NaN).
 double MaxAbsDiff(const Vector& x, const Vector& y);
 
 /// Sparse vector: sorted unique indices with parallel values. Used by the

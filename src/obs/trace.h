@@ -92,12 +92,12 @@ enum class EventId : std::uint16_t {
   kSchedSteal = 17,
 
   // ---- score store (la/score_store.cc) ----
-  /// Counter: copy-on-write shard clone on first write; value = bytes.
+  /// Counter: copy-on-write row clone on first write; value = bytes.
   kStoreRowCow = 18,
   /// Counter: dense row demoted to the sparse tier; value = payload bytes
   /// after sparsification.
   kStoreTierDemote = 19,
-  /// Counter: sparse row promoted (or densified-on-write) back to dense.
+  /// Counter: sparse row promoted back to dense by the tier policy.
   kStoreTierPromote = 20,
 
   // ---- network server (net/server.cc) ----
@@ -106,9 +106,9 @@ enum class EventId : std::uint16_t {
   kRpc = 21,
 
   // ---- score store, sparse-native write path (la/score_store.cc) ----
-  /// Counter: a sparse row densified on the WRITE path (MutableRowPtr
-  /// densify-on-write, a RowWriter Dense() spill, or a merge past the
-  /// max_density gate) — distinct from a tier-policy promotion.
+  /// Counter: a sparse row densified on the WRITE path (a RowWriter
+  /// Dense() spill or a merge past the max_density gate) — distinct from
+  /// a tier-policy promotion.
   kStoreWriteSpill = 22,
   /// Counter: a sparse-native write session committed as an index-merge
   /// (the row stayed sparse); value = merged payload bytes.

@@ -1,5 +1,6 @@
 #include "service/simrank_service.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -50,12 +51,6 @@ SimRankService::SimRankService(core::DynamicSimRank index,
     // stored perturbation of δ can grow to at most δ/(1−C) in S.
     config.error_amplification = 1.0 / (1.0 - index_.options().damping);
     index_.mutable_score_store()->set_sparsity(config);
-    // Sparse-native writes are the store's default; the policy flag
-    // restores the legacy densify-on-write behavior as an A/B baseline.
-    index_.mutable_score_store()->set_write_mode(
-        options_.sparse.densify_on_write
-            ? la::ScoreStore::WriteMode::kDensifyOnWrite
-            : la::ScoreStore::WriteMode::kSparseNative);
   }
   auto initial = std::make_shared<EpochSnapshot>();
   initial->epoch = 0;
@@ -519,11 +514,9 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
     return;
   }
   // Batch-touched rows that the write path left dense (COW'd dense rows,
-  // spills past the max_density gate, or the legacy densify-on-write
-  // mode) go back to sparse when cold. Under sparse-native writes most
-  // touched rows stayed in their sparse tier, so consider_demote
-  // early-returns on them and this pass costs almost nothing — the
-  // re-sparsify the old write path forced every epoch is gone. Iterate a
+  // spills past the max_density gate) go back to sparse when cold. Most
+  // touched sparse rows stayed in their sparse tier, so consider_demote
+  // early-returns on them and this pass costs almost nothing. Iterate a
   // COPY — SparsifyRow appends to the live list.
   {
     const std::vector<std::int32_t> touched = store->touched_rows();
@@ -560,6 +553,7 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     grew.swap(grow_queue_);
   }
   const std::size_t n = index_.scores().rows();
+  const std::size_t rerank_begin = rerank->size();
   for (graph::NodeId node : grew) {
     const auto row = static_cast<std::size_t>(node);
     if (row >= n) continue;
@@ -571,8 +565,9 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
   }
   // Shrink: grown nodes that went cold decay back toward the base
   // capacity by entry truncation (exact prefix, no rescan), one bounded
-  // clock slice per publish.
-  if (n == 0) return;
+  // clock slice per publish. A row grown this publish still has its read
+  // in the sketch; one grown by the previous publish is exempt for this
+  // one, so every grow serves for at least one full epoch.
   const std::size_t steps = std::min(options_.sparse.scan_rows_per_publish, n);
   for (std::size_t s = 0; s < steps; ++s) {
     const std::size_t row = cap_clock_;
@@ -580,11 +575,19 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     const std::size_t current = topk_index_.NodeCapacity(row);
     if (current <= topk_index_.capacity()) continue;  // never below base
     if (sketch_.Count(static_cast<graph::NodeId>(row)) > 0) continue;
+    if (std::binary_search(last_grown_.begin(), last_grown_.end(),
+                           static_cast<std::int32_t>(row))) {
+      continue;
+    }
     const std::size_t target = std::max(topk_index_.capacity(), current / 2);
     if (topk_index_.SetNodeCapacity(row, target) < current) {
       topk_cap_shrinks_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  last_grown_.assign(
+      rerank->begin() + static_cast<std::ptrdiff_t>(rerank_begin),
+      rerank->end());
+  std::sort(last_grown_.begin(), last_grown_.end());
 }
 
 void SimRankService::MirrorStorageCounters() {

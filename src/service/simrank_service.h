@@ -99,13 +99,6 @@ struct SparsityPolicy {
   /// cold rows batches never touch and promotes re-heated ones. Bounds
   /// the per-epoch policy cost independently of n.
   std::size_t scan_rows_per_publish = 256;
-  /// Legacy write-path toggle (A/B baseline): when true the store runs in
-  /// kDensifyOnWrite mode — every batch-touched sparse row transiently
-  /// densifies and the publish-time policy re-sparsifies it, the behavior
-  /// before the sparse-native RowWriter path. Readable bytes are identical
-  /// either way at ε = 0; only the transient dense footprint (and the
-  /// rows_spilled_dense / sparse_write_merges counters) differ.
-  bool densify_on_write = false;
 };
 
 /// Serving-layer knobs.
@@ -243,10 +236,10 @@ struct ServiceStats {
   std::uint64_t tier_promotions = 0;
   /// Sparse-native write path (la::ScoreStore RowWriter sessions):
   /// rows_spilled_dense counts sparse rows the WRITE path densified
-  /// (legacy densify-on-write, Dense() spills, merges past the max_density
-  /// gate) — with sparse-native writes on a mostly-sparse store this stays
-  /// near zero, which is the point; sparse_write_merges counts batch
-  /// writes that committed as an in-tier sparse index-merge instead.
+  /// (Dense() spills, merges past the max_density gate) — on a
+  /// mostly-sparse store this stays near zero, which is the point;
+  /// sparse_write_merges counts batch writes that committed as an in-tier
+  /// sparse index-merge instead.
   std::uint64_t rows_spilled_dense = 0;
   std::uint64_t sparse_write_merges = 0;
   /// Adjacency bytes copy-on-written so published graph views stay
@@ -476,6 +469,10 @@ class SimRankService {
   TrafficSketch sketch_;      // bumped by readers when either policy is on
   std::size_t tier_clock_ = 0;  // applier: clock hand of the tier sweep
   std::size_t cap_clock_ = 0;   // applier: clock hand of the shrink sweep
+  // Applier: rows the previous publish grew (sorted), exempt from this
+  // publish's shrink — the decay that closed the growing publish may have
+  // zeroed the read that earned the grow.
+  std::vector<std::int32_t> last_grown_;
   std::vector<std::int32_t> keep_cols_;  // applier scratch for SparsifyRow
   // Nodes whose TopKFor fell back past their entry, pending a capacity
   // grow at the next publish. Bounded; written by reader threads.

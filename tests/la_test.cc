@@ -1,14 +1,16 @@
 // Unit and property tests for the linear-algebra substrate: vectors, dense
-// matrices, sparse matrices, LU, Kronecker utilities, and the Sylvester
-// solvers.
+// matrices, sparse matrices, LU, Kronecker utilities, the Sylvester
+// solvers, and MaxAbsDiff's NaN contract across every container.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "la/dense_matrix.h"
 #include "la/kron.h"
 #include "la/lu.h"
+#include "la/score_store.h"
 #include "la/sparse_matrix.h"
 #include "la/sylvester.h"
 #include "la/vector.h"
@@ -147,6 +149,51 @@ TEST(DenseMatrixTest, SymmetryAndNonZeroCounts) {
   m(0, 1) = 2.5;
   EXPECT_FALSE(m.IsSymmetric(1e-9));
   EXPECT_EQ(m.CountNonZero(), 4u);
+}
+
+// MaxAbsDiff is the tolerance check behind most suites
+// (`EXPECT_LE(MaxAbsDiff(..), tol)`), so a NaN anywhere must surface as
+// NaN — which fails that check — in every overload, not vanish.
+TEST(MaxAbsDiffTest, NaNPropagatesThroughEveryOverload) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const DenseMatrix zero(3, 4);
+  DenseMatrix poisoned(3, 4);
+  poisoned(1, 2) = nan;
+  poisoned(2, 3) = 5.0;  // a later finite difference must not mask it
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(poisoned, zero)));
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(zero, poisoned)));
+  EXPECT_FALSE(MaxAbsDiff(poisoned, zero) <= 1e-9);
+
+  ScoreStore store(poisoned);
+  const ScoreStore clean(zero);
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(store, zero)));
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(zero, store)));
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(clean, store)));
+  ScoreStore clean_copy(zero);
+  const ScoreStore::View clean_view = clean_copy.Publish();
+  const ScoreStore::View view = store.Publish();
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(view, zero)));
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(clean_view, view)));
+  // A sparse-backed row keeps the NaN (it is never "below ε").
+  store.set_sparsity({.epsilon = 1e-3, .max_density = 1.0});
+  ASSERT_TRUE(store.SparsifyRow(1, {}));
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(store, zero)));
+
+  Vector x(3);
+  const Vector y(3);
+  x[1] = nan;
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(x, y)));
+  EXPECT_TRUE(std::isnan(MaxAbsDiff(y, x)));
+
+  // Equal infinities are no difference; finite inputs are unchanged.
+  DenseMatrix inf(1, 2);
+  inf(0, 0) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(MaxAbsDiff(inf, inf), 0.0);
+  EXPECT_EQ(MaxAbsDiff(inf, DenseMatrix(1, 2)),
+            std::numeric_limits<double>::infinity());
+  poisoned(1, 2) = -2.0;
+  EXPECT_EQ(MaxAbsDiff(poisoned, zero), 5.0);
+  EXPECT_EQ(MaxAbsDiff(ScoreStore(poisoned), zero), 5.0);
 }
 
 TEST(CsrMatrixTest, FromTripletsCoalescesDuplicates) {

@@ -113,6 +113,16 @@ void AwaitEpoch(const service::SimRankService& replica,
   }
 }
 
+void AwaitSubscribers(const IncSrServer& primary, std::size_t target) {
+  WallTimer timer;
+  while (primary.stats().active_subscribers < target) {
+    INCSR_CHECK(timer.ElapsedSeconds() < 20.0,
+                "primary stuck at %zu of %zu subscribers",
+                primary.stats().active_subscribers, target);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
 // Every pair's score and every node's top-k, over the wire, must be
 // BITWISE equal between the two servers.
 void ExpectServersBitwiseIdentical(const IncSrServer& primary,
@@ -157,6 +167,10 @@ TEST(Replication, TwoReplicasServeBitwiseIdenticalAnswers) {
   ASSERT_TRUE(server_b.ok());
   auto stream_a = MustSubscribe(replica_a.get(), (*primary_server)->port());
   auto stream_b = MustSubscribe(replica_b.get(), (*primary_server)->port());
+  // The server loop registers subscribers asynchronously; a batch applied
+  // before registration reaches the replica as backlog catch-up instead
+  // of a live stream, so wait for both before submitting.
+  AwaitSubscribers(**primary_server, 2);
 
   auto client =
       IncSrClient::Connect("127.0.0.1", (*primary_server)->port());

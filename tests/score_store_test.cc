@@ -1,7 +1,7 @@
-// Tests for the copy-on-write row-sharded ScoreStore and its integration
-// with the incremental engines:
+// Tests for the per-row copy-on-write ScoreStore and its integration with
+// the incremental engines:
 //   - COW mechanics: publishes are pointer-table bumps, first post-publish
-//     write clones exactly the touched shard, pinned views stay bitwise
+//     write clones exactly the touched row, pinned views stay bitwise
 //     stable, copy accounting matches.
 //   - Bitwise engine equivalence: for EVERY UpdateAlgorithm (and the
 //     coalesced batch path) a mixed insert/delete stream applied through a
@@ -45,6 +45,15 @@ DenseMatrix TestMatrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+// Overwrites entry (i, j) through a write session, the store's one write
+// path (a shared dense row is copy-on-written at Begin).
+void SetEntry(ScoreStore* store, std::size_t i, std::size_t j, double v) {
+  RowWriter writer;
+  store->BeginWriteRow(i, &writer);
+  writer.Dense()[j] = v;
+  store->CommitWriteRow(&writer);
+}
+
 TEST(ScoreStore, RoundTripsDenseContent) {
   DenseMatrix dense = TestMatrix(9, 9);
   ScoreStore store(dense);
@@ -64,7 +73,7 @@ TEST(ScoreStore, RoundTripsDenseContent) {
 
 TEST(ScoreStore, WritesWithoutPublishNeverCopy) {
   ScoreStore store(TestMatrix(8, 8));
-  for (std::size_t i = 0; i < 8; ++i) store.MutableRowPtr(i)[0] = 1.5;
+  for (std::size_t i = 0; i < 8; ++i) SetEntry(&store, i, 0, 1.5);
   EXPECT_EQ(store.stats().rows_copied, 0u);
   EXPECT_EQ(store.stats().bytes_copied, 0u);
   EXPECT_EQ(store(7, 0), 1.5);
@@ -77,9 +86,9 @@ TEST(ScoreStore, PublishThenWriteCopiesExactlyTouchedRows) {
   EXPECT_EQ(store.stats().publishes, 1u);
   EXPECT_EQ(store.stats().rows_copied, 0u);  // publishing copies nothing
 
-  store.MutableRowPtr(3)[5] = 42.0;
-  store.MutableRowPtr(3)[6] = 43.0;  // same row again: no second copy
-  store.MutableRowPtr(9)[0] = 44.0;
+  SetEntry(&store, 3, 5, 42.0);
+  SetEntry(&store, 3, 6, 43.0);  // same row again: no second copy
+  SetEntry(&store, 9, 0, 44.0);
   EXPECT_EQ(store.stats().rows_copied, 2u);
   EXPECT_EQ(store.stats().bytes_copied, 2u * n * sizeof(double));
 
@@ -88,9 +97,11 @@ TEST(ScoreStore, PublishThenWriteCopiesExactlyTouchedRows) {
   EXPECT_NE(view(3, 5), 42.0);
   EXPECT_NE(view(9, 0), 44.0);
 
-  // Untouched rows are physically shared between store and view.
-  EXPECT_EQ(store.RowPtr(0), view.RowPtr(0));
-  EXPECT_NE(store.RowPtr(3), view.RowPtr(3));
+  // Untouched rows are physically shared between store and view (a dense
+  // row's ReadRow returns its payload pointer, never the scratch).
+  Vector scratch;
+  EXPECT_EQ(store.ReadRow(0, &scratch), view.ReadRow(0, &scratch));
+  EXPECT_NE(store.ReadRow(3, &scratch), view.ReadRow(3, &scratch));
 }
 
 TEST(ScoreStore, PinnedViewIsImmutableAcrossManyEpochs) {
@@ -105,26 +116,13 @@ TEST(ScoreStore, PinnedViewIsImmutableAcrossManyEpochs) {
     for (int w = 0; w < 5; ++w) {
       const auto i = static_cast<std::size_t>(rng.NextBounded(n));
       const auto j = static_cast<std::size_t>(rng.NextBounded(n));
-      store.MutableRowPtr(i)[j] = rng.NextDouble();
+      SetEntry(&store, i, j, rng.NextDouble());
     }
     ScoreStore::View latest = store.Publish();
     EXPECT_TRUE(BitwiseEqual(latest.ToDense(), store.ToDense()));
   }
   EXPECT_TRUE(BitwiseEqual(pinned.ToDense(), pinned_bytes));
   EXPECT_TRUE(BitwiseEqual(pinned_bytes, initial));
-}
-
-TEST(ScoreStore, MultiRowShardsCopyAtShardGranularity) {
-  const std::size_t n = 10;
-  ScoreStore store(TestMatrix(n, n), /*rows_per_shard=*/4);
-  EXPECT_EQ(store.rows_per_shard(), 4u);
-  ScoreStore::View view = store.Publish();
-  store.MutableRowPtr(5)[0] = 1.0;  // shard {4,5,6,7}
-  EXPECT_EQ(store.stats().rows_copied, 4u);
-  store.MutableRowPtr(9)[0] = 1.0;  // tail shard {8,9} has only 2 rows
-  EXPECT_EQ(store.stats().rows_copied, 6u);
-  EXPECT_TRUE(BitwiseEqual(view.ToDense(), ScoreStore(TestMatrix(n, n))
-                                               .ToDense()));
 }
 
 TEST(ScoreStore, AssignRebuildsGeometryAndOldViewsSurvive) {
@@ -134,7 +132,7 @@ TEST(ScoreStore, AssignRebuildsGeometryAndOldViewsSurvive) {
 
   store.Assign(TestMatrix(8, 8, /*seed=*/99));
   EXPECT_EQ(store.rows(), 8u);
-  store.MutableRowPtr(7)[7] = -1.0;  // fresh shards are unshared: no copy
+  SetEntry(&store, 7, 7, -1.0);  // fresh rows are unshared: no copy
   EXPECT_EQ(store.stats().rows_copied, 0u);
 
   EXPECT_EQ(old_view.rows(), 6u);
@@ -336,14 +334,15 @@ TEST(ScoreStoreConcurrency, PinnedViewStaysByteStableUnderWriter) {
         }
         // Checksum the pinned view twice with writer activity in between;
         // any COW bug that mutated shared bytes diverges the sums.
+        Vector scratch;
         double sum1 = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-          const double* row = pinned->RowPtr(i);
+          const double* row = pinned->ReadRow(i, &scratch);
           for (std::size_t j = 0; j < n; ++j) sum1 += row[j];
         }
         double sum2 = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-          const double* row = pinned->RowPtr(i);
+          const double* row = pinned->ReadRow(i, &scratch);
           for (std::size_t j = 0; j < n; ++j) sum2 += row[j];
         }
         INCSR_CHECK(sum1 == sum2, "pinned view bytes changed");
@@ -357,7 +356,7 @@ TEST(ScoreStoreConcurrency, PinnedViewStaysByteStableUnderWriter) {
     for (int w = 0; w < 8; ++w) {
       const auto i = static_cast<std::size_t>(rng.NextBounded(n));
       const auto j = static_cast<std::size_t>(rng.NextBounded(n));
-      store.MutableRowPtr(i)[j] = rng.NextDouble();
+      SetEntry(&store, i, j, rng.NextDouble());
     }
     auto next = std::make_shared<const ScoreStore::View>(store.Publish());
     std::lock_guard<std::mutex> lock(mu);

@@ -678,8 +678,10 @@ TEST(TopKIndexUnit, RebuildRowsPatchesOnlyNamedRows) {
   store.Publish();  // start COW tracking
   // Rewrite row 1 (and symmetric column entries in rows 0/2 would follow
   // in real use; here only row 1 is re-ranked on purpose).
-  double* row1 = store.MutableRowPtr(1);
-  row1[0] = 0.9;
+  la::RowWriter row1;
+  store.BeginWriteRow(1, &row1);
+  row1.Dense()[0] = 0.9;
+  store.CommitWriteRow(&row1);
   const std::vector<std::int32_t> touched = {1};
   index.RebuildRows(store, touched);
   TopKIndex::View view = index.Publish();

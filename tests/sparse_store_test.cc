@@ -50,6 +50,16 @@ la::DenseMatrix TestMatrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+// Overwrites entry (i, j) through a write session that spills to dense
+// (RowWriter::Dense), so a sparse row commits as a dense block.
+void SetEntryDense(la::ScoreStore* store, std::size_t i, std::size_t j,
+                   double v) {
+  la::RowWriter writer;
+  store->BeginWriteRow(i, &writer);
+  writer.Dense()[j] = v;
+  store->CommitWriteRow(&writer);
+}
+
 // ---- Row-level drop rule --------------------------------------------------
 
 TEST(SparseRowBlock, DropRuleKeepsLargeAndProtectedEntries) {
@@ -135,8 +145,8 @@ TEST(SparseRowBlock, ScaledIdentityIsSparseDirect) {
   }
   // One stored entry per row: payload nowhere near the dense slab.
   EXPECT_LT(store.payload_bytes(), n * n * sizeof(double) / 4);
-  // Densify-on-write keeps the content.
-  store.MutableRowPtr(5)[9] = 1.25;
+  // A write session that spills to dense keeps the content.
+  SetEntryDense(&store, 5, 9, 1.25);
   EXPECT_FALSE(store.RowIsSparse(5));
   EXPECT_EQ(store(5, 5), 0.4);
   EXPECT_EQ(store(5, 9), 1.25);
@@ -393,7 +403,7 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
   Rng rng(55);
   for (int epoch = 0; epoch < 200; ++epoch) {
     // Tier churn + writes: every epoch demotes a band, promotes another,
-    // and writes through a third (densify-on-write).
+    // and writes through a third (a session spilled to dense).
     for (std::size_t i = 0; i < n; ++i) {
       switch ((i + static_cast<std::size_t>(epoch)) % 3) {
         case 0:
@@ -403,7 +413,7 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
           store.DensifyRow(i);
           break;
         default:
-          store.MutableRowPtr(i)[rng.NextBounded(n)] = rng.NextDouble();
+          SetEntryDense(&store, i, rng.NextBounded(n), rng.NextDouble());
       }
     }
     auto next = std::make_shared<const la::ScoreStore::View>(store.Publish());
@@ -478,6 +488,47 @@ TEST(AdaptiveTopK, ServiceGrowsCapacityAfterFallback) {
   EXPECT_GE((*service)->stats().topk_cap_grows, 1u);
 
   // Same query now rides the grown entry — and matches the row scan.
+  auto second = (*service)->TopKFor(query, 8);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ((*service)->stats().topk_index_served, 1u);
+  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);  // unchanged
+  auto snapshot = (*service)->Snapshot();
+  EXPECT_EQ(*second, core::TopKForOf(snapshot->scores, query, 8));
+}
+
+// A grown capacity must outlive the publish after the grow: the decay that
+// closes the growing publish may zero the very read that earned it, so the
+// next publish's shrink clock would otherwise halve the entry straight
+// back (one Submit + Flush per update = two publishes before the query).
+TEST(AdaptiveTopK, GrownCapacitySurvivesTheNextPublish) {
+  auto seed = graph::ErdosRenyiGnm(16, 40, 19);
+  ASSERT_TRUE(seed.ok());
+  auto graph = graph::MaterializeGraph(16, seed.value());
+  simrank::SimRankOptions sr;
+  sr.damping = 0.6;
+  sr.iterations = 8;
+  auto index = core::DynamicSimRank::Create(graph, sr);
+  ASSERT_TRUE(index.ok());
+  service::ServiceOptions options;
+  options.topk_index_capacity = 4;
+  options.adaptive_topk_index = true;
+  options.cache_capacity = 0;  // every query exercises the index path
+  auto service =
+      service::SimRankService::Create(std::move(index).value(), options);
+  ASSERT_TRUE(service.ok());
+
+  const graph::NodeId query = 3;
+  ASSERT_TRUE((*service)->TopKFor(query, 8).ok());
+  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);
+
+  auto stream = InsertStream(graph, 2, 29);
+  for (const graph::EdgeUpdate& u : stream) {
+    ASSERT_TRUE((*service)->Submit(u).ok());
+    ASSERT_TRUE((*service)->Flush().ok());
+  }
+  EXPECT_GE((*service)->stats().topk_cap_grows, 1u);
+  EXPECT_EQ((*service)->stats().topk_cap_shrinks, 0u);
+
   auto second = (*service)->TopKFor(query, 8);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ((*service)->stats().topk_index_served, 1u);

@@ -8,10 +8,11 @@
 //     promotions (rows_densified) count separately; their sum is the old
 //     conflated counter. epoch_peak_dense_bytes watermarks the transient
 //     dense footprint and resets at Publish().
-//   - Write-mode equivalence through the service: sparse-native vs the
-//     legacy densify-on-write mode agree bitwise at eps = 0 and each stays
-//     within its own recorded error bound at eps > 0, per UpdateAlgorithm.
-//     CI runs this suite at INCSR_THREADS 1 and 4 under TSan and ASan.
+//   - Service equivalence: a tiered service on the sparse-native write
+//     path agrees bitwise with a dense-backed service (sparsity off) at
+//     eps = 0 and stays within its own recorded error bound at eps > 0,
+//     per UpdateAlgorithm. CI runs this suite at INCSR_THREADS 1 and 4
+//     under TSan and ASan.
 //   - Concurrency: pinned View bytes survive concurrent sparse merge
 //     commits (including the writer-private in-place swap) and tier moves.
 #include <gtest/gtest.h>
@@ -55,6 +56,16 @@ la::ScoreStore SparseIdentity(std::size_t n, double value) {
   return store;
 }
 
+// Overwrites entry (i, j) through a session that spills to dense
+// (RowWriter::Dense) — a write-path spill on a sparse row.
+void SpillWrite(la::ScoreStore* store, std::size_t i, std::size_t j,
+                double v) {
+  la::RowWriter w;
+  store->BeginWriteRow(i, &w);
+  w.Dense()[j] = v;
+  store->CommitWriteRow(&w);
+}
+
 // ---- RowWriter sessions ----------------------------------------------------
 
 TEST(RowWriterSession, SeedsFromBaseAndAccumulatesInEmissionOrder) {
@@ -75,18 +86,20 @@ TEST(RowWriterSession, SeedsFromBaseAndAccumulatesInEmissionOrder) {
   EXPECT_EQ(store.stats().rows_sparse, 8u);
 }
 
-TEST(RowWriterSession, IdenticalSessionsMatchDensifyOnWriteBitwise) {
+TEST(RowWriterSession, IdenticalSessionsMatchDenseBackedRowsBitwise) {
   const std::size_t n = 16;
   la::DenseMatrix initial(n, n);  // zero-initialized
   for (std::size_t i = 0; i < n; ++i) initial.RowPtr(i)[i] = 0.4;
 
-  // Two stores, same bytes, opposite write modes; replay one identical
-  // session sequence (repeat columns, overlapping entries) through both.
-  auto run = [&](la::ScoreStore::WriteMode mode) {
-    la::ScoreStore store((la::DenseMatrix(initial)));
+  // Two stores, same bytes, one all-sparse and one never sparsified;
+  // replay one identical session sequence (repeat columns, overlapping
+  // entries) through both.
+  auto run = [&](bool sparse) {
+    la::ScoreStore store(initial);
     store.set_sparsity({.epsilon = 0.0, .max_density = 1.0});
-    for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(store.SparsifyRow(i, {}));
-    store.set_write_mode(mode);
+    for (std::size_t i = 0; sparse && i < n; ++i) {
+      EXPECT_TRUE(store.SparsifyRow(i, {}));
+    }
     Rng rng(77);
     la::RowWriter w;
     for (int round = 0; round < 4; ++round) {
@@ -98,11 +111,10 @@ TEST(RowWriterSession, IdenticalSessionsMatchDensifyOnWriteBitwise) {
         store.CommitWriteRow(&w);
       }
     }
+    EXPECT_EQ(store.stats().sparse_write_merges > 0, sparse);
     return store.ToDense();
   };
-  la::DenseMatrix native = run(la::ScoreStore::WriteMode::kSparseNative);
-  la::DenseMatrix legacy = run(la::ScoreStore::WriteMode::kDensifyOnWrite);
-  EXPECT_TRUE(la::BitwiseEqual(native, legacy));
+  EXPECT_TRUE(la::BitwiseEqual(run(true), run(false)));
 }
 
 TEST(RowWriterSession, ExactPositiveZeroMergeResultElidesLosslessly) {
@@ -203,7 +215,7 @@ TEST(RowWriterSession, CommitCopiesOnWriteThenMergesInPlace) {
 
 TEST(StoreCounters, WriteSpillsAndPromotionsCountSeparately) {
   la::ScoreStore store = SparseIdentity(8, 0.4);
-  store.MutableRowPtr(0)[3] = 1.0;  // legacy shim: a write-path spill
+  SpillWrite(&store, 0, 3, 1.0);     // a write-path spill
   ASSERT_TRUE(store.DensifyRow(1));  // an explicit tier promotion
   EXPECT_EQ(store.stats().rows_spilled_dense, 1u);
   EXPECT_EQ(store.stats().rows_densified, 1u);
@@ -220,7 +232,7 @@ TEST(StoreCounters, EpochPeakDenseBytesWatermarksAndResets) {
   EXPECT_EQ(store.stats().epoch_peak_dense_bytes, 0u);
 
   // A transient densify bumps the watermark...
-  store.MutableRowPtr(0)[3] = 1.0;
+  SpillWrite(&store, 0, 3, 1.0);
   const std::uint64_t one_row = n * sizeof(double);
   EXPECT_EQ(store.stats().epoch_peak_dense_bytes, one_row);
   // ...and re-sparsifying does not lower it: it records the PEAK.
@@ -232,7 +244,7 @@ TEST(StoreCounters, EpochPeakDenseBytesWatermarksAndResets) {
   EXPECT_EQ(store.stats().epoch_peak_dense_bytes, 0u);
 }
 
-// ---- Write-mode equivalence through the service -----------------------------
+// ---- Tiered vs dense-backed service equivalence ----------------------------
 
 std::vector<graph::EdgeUpdate> InsertStream(const graph::DynamicDiGraph& graph,
                                             std::size_t count,
@@ -257,15 +269,15 @@ service::ServiceOptions TieredOptions(double epsilon) {
 // Replays the stream with unit batches (Flush per Submit pins batch
 // boundaries, hence FP order — sparse_store_test's idiom) and returns the
 // final scores plus stats.
-struct ModeRun {
+struct ServiceRun {
   la::DenseMatrix s;
   service::ServiceStats stats;
 };
 
-ModeRun RunMode(const graph::DynamicDiGraph& graph,
-                const std::vector<graph::EdgeUpdate>& stream,
-                core::UpdateAlgorithm algorithm,
-                const service::ServiceOptions& options) {
+ServiceRun RunService(const graph::DynamicDiGraph& graph,
+                      const std::vector<graph::EdgeUpdate>& stream,
+                      core::UpdateAlgorithm algorithm,
+                      const service::ServiceOptions& options) {
   simrank::SimRankOptions sr;
   sr.damping = 0.6;
   sr.iterations = 8;
@@ -278,38 +290,39 @@ ModeRun RunMode(const graph::DynamicDiGraph& graph,
     EXPECT_TRUE((*service)->Submit(u).ok());
     EXPECT_TRUE((*service)->Flush().ok());
   }
-  ModeRun out;
+  ServiceRun out;
   out.s = (*service)->Snapshot()->scores.ToDense();
   out.stats = (*service)->stats();
   return out;
 }
 
-TEST(WriteModeEquivalence, BitwiseAtEpsilonZeroPerAlgorithm) {
+TEST(TieredServiceEquivalence, BitwiseAtEpsilonZeroPerAlgorithm) {
   auto seed = graph::ErdosRenyiGnm(20, 50, 5);
   ASSERT_TRUE(seed.ok());
   auto graph = graph::MaterializeGraph(20, seed.value());
   auto stream = InsertStream(graph, 12, 17);
   for (auto algorithm :
        {core::UpdateAlgorithm::kIncSR, core::UpdateAlgorithm::kIncUSR}) {
-    service::ServiceOptions native_options = TieredOptions(0.0);
-    ModeRun native = RunMode(graph, stream, algorithm, native_options);
-    service::ServiceOptions legacy_options = TieredOptions(0.0);
-    legacy_options.sparse.densify_on_write = true;
-    ModeRun legacy = RunMode(graph, stream, algorithm, legacy_options);
+    ServiceRun native =
+        RunService(graph, stream, algorithm, TieredOptions(0.0));
+    // Dense-backed reference: same unit batches, sparsity off entirely.
+    service::ServiceOptions dense_options = TieredOptions(0.0);
+    dense_options.sparse.enabled = false;
+    ServiceRun dense = RunService(graph, stream, algorithm, dense_options);
 
-    EXPECT_TRUE(la::BitwiseEqual(native.s, legacy.s));
+    EXPECT_TRUE(la::BitwiseEqual(native.s, dense.s));
     EXPECT_EQ(native.stats.sparse_max_error_bound, 0.0);
-    EXPECT_EQ(legacy.stats.sparse_max_error_bound, 0.0);
-    // Each mode actually took its own write path.
-    EXPECT_EQ(legacy.stats.sparse_write_merges, 0u);
-    EXPECT_GT(legacy.stats.rows_spilled_dense, 0u);
+    // Each run actually took its own write path.
+    EXPECT_EQ(dense.stats.rows_sparse, 0u);
+    EXPECT_EQ(dense.stats.sparse_write_merges, 0u);
+    EXPECT_GT(native.stats.rows_sparse, 0u);
     if (algorithm == core::UpdateAlgorithm::kIncSR) {
       EXPECT_GT(native.stats.sparse_write_merges, 0u);
     }
   }
 }
 
-TEST(WriteModeEquivalence, WithinRecordedBoundAtEpsilonPerAlgorithm) {
+TEST(TieredServiceEquivalence, WithinRecordedBoundAtEpsilonPerAlgorithm) {
   auto seed = graph::ErdosRenyiGnm(40, 60, 9);
   ASSERT_TRUE(seed.ok());
   auto graph = graph::MaterializeGraph(40, seed.value());
@@ -319,28 +332,18 @@ TEST(WriteModeEquivalence, WithinRecordedBoundAtEpsilonPerAlgorithm) {
     // Exact reference: same unit batches, sparsity off entirely.
     service::ServiceOptions dense_options = TieredOptions(1e-4);
     dense_options.sparse.enabled = false;
-    ModeRun exact = RunMode(graph, stream, algorithm, dense_options);
-    for (bool densify_on_write : {false, true}) {
-      service::ServiceOptions options = TieredOptions(1e-4);
-      options.sparse.densify_on_write = densify_on_write;
-      ModeRun run = RunMode(graph, stream, algorithm, options);
-      EXPECT_GT(run.stats.rows_sparse, 0u);
-      double max_err = 0.0;
-      for (std::size_t i = 0; i < exact.s.rows(); ++i) {
-        for (std::size_t j = 0; j < exact.s.cols(); ++j) {
-          max_err =
-              std::max(max_err, std::abs(run.s(i, j) - exact.s(i, j)));
-        }
-      }
-      EXPECT_LE(max_err, run.stats.sparse_max_error_bound + 1e-15)
-          << "densify_on_write = " << densify_on_write;
-    }
+    ServiceRun exact = RunService(graph, stream, algorithm, dense_options);
+    ServiceRun run =
+        RunService(graph, stream, algorithm, TieredOptions(1e-4));
+    EXPECT_GT(run.stats.rows_sparse, 0u);
+    EXPECT_LE(la::MaxAbsDiff(run.s, exact.s),
+              run.stats.sparse_max_error_bound + 1e-15);
   }
 }
 
 // ---- Concurrency: pinned views vs sparse merge commits ----------------------
 
-TEST(WriteModeConcurrency, PinnedViewStaysByteStableUnderMergeCommits) {
+TEST(SparseWriteConcurrency, PinnedViewStaysByteStableUnderMergeCommits) {
   const std::size_t n = 24;
   la::ScoreStore store = SparseIdentity(n, 0.4);
 
