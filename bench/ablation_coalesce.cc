@@ -2,16 +2,16 @@
 // when a batch's updates cluster on few target nodes — e.g. a new paper
 // citing R references contributes R insertions with ONE target — the
 // generalized rank-one update absorbs each target's group in a single
-// Sylvester solve. This bench compares unit-by-unit Inc-SR against the
-// coalesced engine on batches with controlled target multiplicity, and
-// verifies both produce identical scores.
+// Sylvester solve. This bench compares unit-by-unit Inc-SR against
+// DynamicSimRank::ApplyBatchCoalesced on batches with controlled target
+// multiplicity, and fails unless both produce the same scores (max |dS
+// diff| <= 1e-9).
 //
 // Usage: ablation_coalesce [n]                        (default 1200)
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_common.h"
-#include "core/coalesced_update.h"
 #include "incsr/incsr.h"
 
 int main(int argc, char** argv) {
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     // Unit-by-unit.
     graph::DynamicDiGraph g1 = base;
     la::DynamicRowMatrix q1 = graph::BuildTransition(g1);
-    la::DenseMatrix s1 = s_base;
+    la::ScoreStore s1{s_base};
     core::IncSrEngine unit(options);
     WallTimer t1;
     for (const auto& u : batch) {
@@ -69,19 +69,20 @@ int main(int argc, char** argv) {
     double unit_seconds = t1.ElapsedSeconds();
 
     // Coalesced.
-    graph::DynamicDiGraph g2 = base;
-    la::DynamicRowMatrix q2 = graph::BuildTransition(g2);
-    la::DenseMatrix s2 = s_base;
-    core::CoalescedBatchEngine coalesced(options);
+    auto coalesced = core::DynamicSimRank::FromState(base, s_base, options);
+    INCSR_CHECK(coalesced.ok(), "FromState");
     WallTimer t2;
-    INCSR_CHECK(coalesced.ApplyBatch(batch, &g2, &q2, &s2).ok(), "coalesced");
+    INCSR_CHECK(coalesced->ApplyBatchCoalesced(batch).ok(), "coalesced");
     double coalesced_seconds = t2.ElapsedSeconds();
 
+    const double diff = la::MaxAbsDiff(s1, coalesced->scores());
     std::printf("%7zu  %10zu  %15.4f  %12.4f  %6.1fx   %.2e\n", targets,
                 batch.size(), unit_seconds, coalesced_seconds,
                 unit_seconds / (coalesced_seconds > 0 ? coalesced_seconds
                                                       : 1e-12),
-                la::MaxAbsDiff(s1, s2));
+                diff);
+    INCSR_CHECK(diff <= 1e-9, "coalesced diverged from unit updates: %.3e",
+                diff);
   }
   std::puts(
       "\nCoalescing wins by ~batch/targets when updates cluster (hot "

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
     graph::DynamicDiGraph g_work = g;
     la::DynamicRowMatrix q_work = graph::BuildTransition(g_work);
-    la::DenseMatrix s_work = s_old;
+    la::ScoreStore s_work{s_old};
     core::IncSrEngine engine(options);
     WallTimer timer;
     INCSR_CHECK(engine.ApplyUpdate(update, &g_work, &q_work, &s_work).ok(),

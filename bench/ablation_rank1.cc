@@ -18,7 +18,7 @@ using namespace incsr;
 struct Fixture {
   graph::DynamicDiGraph g;
   simrank::SimRankOptions options;
-  la::DenseMatrix s;
+  la::ScoreStore s;
   la::DynamicRowMatrix q;
   graph::EdgeUpdate update;
 };
@@ -30,7 +30,7 @@ Fixture MakeFixture(std::size_t n) {
   Fixture f{graph::MaterializeGraph(n, stream.value()), {}, {}, {}, {}};
   f.options.damping = 0.6;
   f.options.iterations = 15;
-  f.s = simrank::BatchMatrix(f.g, f.options);
+  f.s = la::ScoreStore(simrank::BatchMatrix(f.g, f.options));
   f.q = graph::BuildTransition(f.g);
   Rng rng(23);
   auto ins = graph::SampleInsertions(f.g, 1, &rng);

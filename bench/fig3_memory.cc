@@ -49,7 +49,7 @@ void RunSeries(const graph::SnapshotSeries& series, const std::string& name,
   {
     graph::DynamicDiGraph g = g_prev;
     la::DynamicRowMatrix q = graph::BuildTransition(g);
-    la::DenseMatrix s = s_init;
+    la::ScoreStore s{s_init};
     core::IncSrEngine engine(options);
     MemoryScope scope;
     for (const auto& update : delta) {
@@ -63,7 +63,7 @@ void RunSeries(const graph::SnapshotSeries& series, const std::string& name,
   {
     graph::DynamicDiGraph g = g_prev;
     la::DynamicRowMatrix q = graph::BuildTransition(g);
-    la::DenseMatrix s = s_init;
+    la::ScoreStore s{s_init};
     MemoryScope scope;
     for (const auto& update : delta) {
       INCSR_CHECK(core::IncUsrApplyUpdate(update, options, &g, &q, &s).ok(),

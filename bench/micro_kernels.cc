@@ -84,7 +84,7 @@ void BM_IncUsrUnitUpdate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::DynamicDiGraph g = MakeGraph(n, 8.0);
   simrank::SimRankOptions options = Options();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   Rng rng(3);
   for (auto _ : state) {
@@ -98,27 +98,6 @@ void BM_IncUsrUnitUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncUsrUnitUpdate)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000);
-
-// One full unit update, pruned (Inc-SR). Scaling is sub-quadratic in n —
-// the paper's O(K(n·d + |AFF|)).
-void BM_IncSrUnitUpdate(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  graph::DynamicDiGraph g = MakeGraph(n, 8.0);
-  simrank::SimRankOptions options = Options();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
-  la::DynamicRowMatrix q = graph::BuildTransition(g);
-  core::IncSrEngine engine(options);
-  Rng rng(3);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto ins = graph::SampleInsertions(g, 1, &rng);
-    INCSR_CHECK(ins.ok(), "sample");
-    state.ResumeTiming();
-    INCSR_CHECK(engine.ApplyUpdate(ins.value()[0], &g, &q, &s).ok(),
-                "update");
-  }
-}
-BENCHMARK(BM_IncSrUnitUpdate)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000);
 
 // Before/after of the seed-scan memory-layout fix on the COW ScoreStore
 // the serving path uses. The old ComputeSparseSeed walked column i via
@@ -168,8 +147,10 @@ void BM_SeedColumnScanSymmetricRow(benchmark::State& state) {
 }
 BENCHMARK(BM_SeedColumnScanSymmetricRow)->Arg(1000)->Arg(4000);
 
-// One full unit update through the COW ScoreStore at a given thread
-// count — the serving applier's exact write path. Args: {n, threads}.
+// One full unit update, pruned (Inc-SR), through the COW ScoreStore at a
+// given thread count — the serving applier's exact write path. Scaling
+// is sub-quadratic in n — the paper's O(K(n·d + |AFF|)). Args: {n,
+// threads}.
 void BM_IncSrUnitUpdateThreads(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::DynamicDiGraph g = MakeGraph(n, 8.0);
@@ -189,6 +170,8 @@ void BM_IncSrUnitUpdateThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncSrUnitUpdateThreads)
+    ->Args({500, 1})
+    ->Args({1000, 1})
     ->Args({2000, 1})
     ->Args({2000, 2})
     ->Args({2000, 4})
@@ -199,7 +182,7 @@ void BM_UpdateSeed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::DynamicDiGraph g = MakeGraph(n, 8.0);
   simrank::SimRankOptions options = Options();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   Rng rng(5);
   auto ins = graph::SampleInsertions(g, 1, &rng);

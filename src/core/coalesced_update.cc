@@ -19,38 +19,4 @@ std::vector<CoalescedGroup> CoalesceByTarget(
   return groups;
 }
 
-template <typename SMatrix>
-Status CoalescedBatchEngine::ApplyBatch(
-    const std::vector<graph::EdgeUpdate>& updates,
-    graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q, SMatrix* s) {
-  INCSR_CHECK(graph != nullptr && q != nullptr && s != nullptr,
-              "CoalescedBatchEngine::ApplyBatch: null output");
-  stats_ = AffectedAreaStats{};
-  stats_.num_nodes = graph->num_nodes();
-  last_group_count_ = 0;
-  for (const CoalescedGroup& group : CoalesceByTarget(updates)) {
-    INCSR_RETURN_IF_ERROR(ApplyGroup(group, graph, q, s));
-  }
-  return Status::OK();
-}
-
-template <typename SMatrix>
-Status CoalescedBatchEngine::ApplyGroup(const CoalescedGroup& group,
-                                        graph::DynamicDiGraph* graph,
-                                        la::DynamicRowMatrix* q, SMatrix* s) {
-  INCSR_RETURN_IF_ERROR(engine_.ApplyRowUpdate(
-      group.target, std::span(group.changes.data(), group.changes.size()),
-      graph, q, s));
-  ++last_group_count_;
-  stats_.Merge(engine_.last_stats());
-  return Status::OK();
-}
-
-template Status CoalescedBatchEngine::ApplyBatch<la::DenseMatrix>(
-    const std::vector<graph::EdgeUpdate>&, graph::DynamicDiGraph*,
-    la::DynamicRowMatrix*, la::DenseMatrix*);
-template Status CoalescedBatchEngine::ApplyBatch<la::ScoreStore>(
-    const std::vector<graph::EdgeUpdate>&, graph::DynamicDiGraph*,
-    la::DynamicRowMatrix*, la::ScoreStore*);
-
 }  // namespace incsr::core

@@ -13,19 +13,15 @@
 // Exactness is unchanged: each coalesced group is processed against the
 // current state, and the final graph (hence the fixed point) is identical
 // to the unit-update decomposition's.
+//
+// DynamicSimRank::ApplyBatchCoalesced runs one IncSrEngine::ApplyRowUpdate
+// per group.
 #ifndef INCSR_CORE_COALESCED_UPDATE_H_
 #define INCSR_CORE_COALESCED_UPDATE_H_
 
 #include <vector>
 
-#include "common/status.h"
-#include "core/affected_area.h"
-#include "core/inc_sr.h"
-#include "graph/digraph.h"
 #include "graph/update_stream.h"
-#include "la/dense_matrix.h"
-#include "la/sparse_matrix.h"
-#include "simrank/options.h"
 
 namespace incsr::core {
 
@@ -42,43 +38,6 @@ struct CoalescedGroup {
 /// final graph.
 std::vector<CoalescedGroup> CoalesceByTarget(
     const std::vector<graph::EdgeUpdate>& updates);
-
-/// Pruned engine for coalesced batches; shares the sparse-iteration design
-/// of IncSrEngine but seeds each group from the generalized rank-one
-/// factors u = e_j, v = (row_new − row_old)ᵀ.
-class CoalescedBatchEngine {
- public:
-  explicit CoalescedBatchEngine(simrank::SimRankOptions options)
-      : options_(options), engine_(options) {}
-
-  /// Applies a whole batch, one rank-one solve per distinct target. On
-  /// entry *graph/*q/*s are the OLD consistent state; on success the NEW.
-  /// Fails (with the already-processed groups applied) if any individual
-  /// edge change is invalid. Generic over the score container (dense
-  /// matrix or COW ScoreStore), like IncSrEngine.
-  template <typename SMatrix>
-  Status ApplyBatch(const std::vector<graph::EdgeUpdate>& updates,
-                    graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q,
-                    SMatrix* s);
-
-  /// Number of rank-one solves the last ApplyBatch performed (groups with
-  /// a net-zero row change are skipped entirely).
-  std::size_t last_group_count() const { return last_group_count_; }
-  /// Merged affected-area statistics of the last batch.
-  const AffectedAreaStats& last_stats() const { return stats_; }
-
- private:
-  template <typename SMatrix>
-  Status ApplyGroup(const CoalescedGroup& group,
-                    graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q,
-                    SMatrix* s);
-
-  simrank::SimRankOptions options_;
-  IncSrEngine engine_;  // reused for its public unit-update path on
-                        // single-change groups
-  AffectedAreaStats stats_;
-  std::size_t last_group_count_ = 0;
-};
 
 }  // namespace incsr::core
 

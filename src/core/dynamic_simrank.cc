@@ -12,6 +12,20 @@ namespace incsr::core {
 
 namespace {
 
+// The option checks every factory shares.
+Status ValidateOptions(const simrank::SimRankOptions& options) {
+  if (options.damping <= 0.0 || options.damping >= 1.0) {
+    return Status::InvalidArgument("damping must be in (0, 1)");
+  }
+  if (options.iterations < 1) {
+    return Status::InvalidArgument("iterations must be >= 1");
+  }
+  if (options.num_threads < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0");
+  }
+  return Status::OK();
+}
+
 // Iterations for the initial batch solve so that S is the fixed point of
 // Eq. (2) to ~1e-12 — the exactness the incremental theorems assume.
 int DefaultBatchIterations(double damping) {
@@ -21,16 +35,6 @@ int DefaultBatchIterations(double damping) {
 }
 
 }  // namespace
-
-DynamicSimRank::DynamicSimRank(graph::DynamicDiGraph graph, la::DenseMatrix s,
-                               const simrank::SimRankOptions& options,
-                               UpdateAlgorithm algorithm)
-    : graph_(std::move(graph)),
-      q_(graph::BuildTransition(graph_)),
-      s_(la::ScoreStore(std::move(s))),
-      options_(options),
-      algorithm_(algorithm),
-      engine_(options) {}
 
 DynamicSimRank::DynamicSimRank(graph::DynamicDiGraph graph, la::ScoreStore s,
                                const simrank::SimRankOptions& options,
@@ -45,50 +49,30 @@ DynamicSimRank::DynamicSimRank(graph::DynamicDiGraph graph, la::ScoreStore s,
 Result<DynamicSimRank> DynamicSimRank::Create(
     graph::DynamicDiGraph graph, const simrank::SimRankOptions& options,
     UpdateAlgorithm algorithm, int batch_iterations) {
-  if (options.damping <= 0.0 || options.damping >= 1.0) {
-    return Status::InvalidArgument("damping must be in (0, 1)");
-  }
-  if (options.iterations < 1) {
-    return Status::InvalidArgument("iterations must be >= 1");
-  }
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
+  INCSR_RETURN_IF_ERROR(ValidateOptions(options));
   simrank::SimRankOptions batch = options;
   batch.iterations = batch_iterations > 0
                          ? batch_iterations
                          : DefaultBatchIterations(options.damping);
-  la::DenseMatrix s = simrank::BatchMatrix(graph, batch);
+  la::ScoreStore s(simrank::BatchMatrix(graph, batch));
   return DynamicSimRank(std::move(graph), std::move(s), options, algorithm);
 }
 
 Result<DynamicSimRank> DynamicSimRank::FromState(
     graph::DynamicDiGraph graph, la::DenseMatrix s,
     const simrank::SimRankOptions& options, UpdateAlgorithm algorithm) {
-  if (options.damping <= 0.0 || options.damping >= 1.0) {
-    return Status::InvalidArgument("damping must be in (0, 1)");
-  }
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
+  INCSR_RETURN_IF_ERROR(ValidateOptions(options));
   if (s.rows() != graph.num_nodes() || s.cols() != graph.num_nodes()) {
     return Status::InvalidArgument("FromState: S shape does not match graph");
   }
-  return DynamicSimRank(std::move(graph), std::move(s), options, algorithm);
+  return DynamicSimRank(std::move(graph), la::ScoreStore(std::move(s)),
+                        options, algorithm);
 }
 
 Result<DynamicSimRank> DynamicSimRank::CreateIsolated(
     std::size_t num_nodes, const simrank::SimRankOptions& options,
     UpdateAlgorithm algorithm) {
-  if (options.damping <= 0.0 || options.damping >= 1.0) {
-    return Status::InvalidArgument("damping must be in (0, 1)");
-  }
-  if (options.iterations < 1) {
-    return Status::InvalidArgument("iterations must be >= 1");
-  }
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
+  INCSR_RETURN_IF_ERROR(ValidateOptions(options));
   graph::DynamicDiGraph graph;
   graph.AddNodes(num_nodes);
   la::ScoreStore s =
@@ -151,17 +135,7 @@ graph::NodeId DynamicSimRank::AddNode() {
   graph::NodeId fresh = graph_.AddNodes(1);
   const std::size_t n = graph_.num_nodes();
   q_.Grow(n, n);
-  // Every row gains a column, so the whole store is rebuilt; previously
-  // published views keep serving the old geometry.
-  la::DenseMatrix grown(n, n);
-  la::Vector scratch;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const double* src = s_.ReadRow(i, &scratch);
-    double* dst = grown.RowPtr(i);
-    std::copy(src, src + n - 1, dst);
-  }
-  grown(n - 1, n - 1) = 1.0 - options_.damping;
-  s_.Assign(std::move(grown));
+  s_.GrowByIsolatedNode(1.0 - options_.damping);
   return fresh;
 }
 

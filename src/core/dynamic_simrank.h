@@ -154,7 +154,8 @@ class DynamicSimRank {
   /// matrix-form fixed point S = C·Q·S·Qᵀ + (1−C)·I is exactly (1−C)·I,
   /// which the score store builds sparse-direct in O(n). This is the entry
   /// point for an n the dense store cannot hold — grow structure with
-  /// InsertEdge afterwards (rows densify on first write as usual).
+  /// InsertEdge afterwards (written rows merge in place and spill to dense
+  /// only past the store's max_density).
   static Result<DynamicSimRank> CreateIsolated(
       std::size_t num_nodes, const simrank::SimRankOptions& options = {},
       UpdateAlgorithm algorithm = UpdateAlgorithm::kIncSR);
@@ -198,7 +199,8 @@ class DynamicSimRank {
 
   /// Extension beyond the paper: adds an isolated node. Its exact
   /// matrix-form similarities are s(v, v) = 1 − C and 0 elsewhere, so the
-  /// index grows without recomputation.
+  /// index grows without recomputation — and without densifying: sparse
+  /// rows of S stay sparse (la::ScoreStore::GrowByIsolatedNode).
   graph::NodeId AddNode();
 
   /// Top-k highest-scoring distinct pairs (a < b), ties broken by (a, b).
@@ -227,7 +229,7 @@ class DynamicSimRank {
   // and invalidates its query cache from exactly this set per epoch.
 
   /// True when every row must be assumed changed (fresh index, AddNode's
-  /// store rebuild) — callers should rebuild rather than patch.
+  /// store growth) — callers should rebuild rather than patch.
   bool AllScoreRowsTouched() const { return s_.all_rows_touched(); }
   /// Rows written since the last score-store publish; meaningless while
   /// AllScoreRowsTouched() is set.
@@ -236,11 +238,6 @@ class DynamicSimRank {
   }
 
  private:
-  DynamicSimRank(graph::DynamicDiGraph graph, la::DenseMatrix s,
-                 const simrank::SimRankOptions& options,
-                 UpdateAlgorithm algorithm);
-  // Store-direct variant for backings that never existed densely
-  // (CreateIsolated's sparse identity).
   DynamicSimRank(graph::DynamicDiGraph graph, la::ScoreStore s,
                  const simrank::SimRankOptions& options,
                  UpdateAlgorithm algorithm);

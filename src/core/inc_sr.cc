@@ -91,11 +91,10 @@ void IncSrEngine::RunChunkedExpansion(std::size_t count, std::size_t n,
   }
 }
 
-template <typename SMatrix>
 Status IncSrEngine::ComputeSparseSeed(const graph::EdgeUpdate& update,
                                       const graph::DynamicDiGraph& graph,
                                       const la::DynamicRowMatrix& q,
-                                      const SMatrix& s,
+                                      const la::ScoreStore& s,
                                       RankOneUpdate* rank_one,
                                       Workspace* theta) {
   TRACE_SCOPE(kKernelSeed);
@@ -228,9 +227,8 @@ void IncSrEngine::AdvanceSparse(const graph::DynamicDiGraph& new_graph,
   next->SortIndices();
 }
 
-template <typename SMatrix>
 void IncSrEngine::ScatterOuter(const Workspace& xi, const Workspace& eta,
-                               SMatrix* s) {
+                               la::ScoreStore* s) {
   TRACE_SCOPE_ARG(kKernelScatter, xi.indices.size() + eta.indices.size());
   // S += ξ·ηᵀ + η·ξᵀ, row-parallel over supp(ξ) ∪ supp(η). Each touched
   // row gets its ξ-term writes and then its η-term writes — the exact
@@ -313,10 +311,9 @@ void IncSrEngine::RecordTouched(const Workspace& ws) {
   }
 }
 
-template <typename SMatrix>
 Status IncSrEngine::ApplyUpdate(const graph::EdgeUpdate& update,
                                 graph::DynamicDiGraph* graph,
-                                la::DynamicRowMatrix* q, SMatrix* s) {
+                                la::DynamicRowMatrix* q, la::ScoreStore* s) {
   INCSR_CHECK(graph != nullptr && q != nullptr && s != nullptr,
               "IncSrEngine::ApplyUpdate: null output");
   if (s->rows() != q->rows() || s->cols() != q->cols() ||
@@ -341,10 +338,9 @@ Status IncSrEngine::ApplyUpdate(const graph::EdgeUpdate& update,
   return Status::OK();
 }
 
-template <typename SMatrix>
 void IncSrEngine::RunPrunedIterations(graph::NodeId target,
                                       const graph::DynamicDiGraph& new_graph,
-                                      SMatrix* s) {
+                                      la::ScoreStore* s) {
   // Per iteration the supports of ξ, η are the affected sets A_k, B_k of
   // Theorem 4; everything outside them stays untouched in S.
   const double c = options_.damping;
@@ -376,11 +372,10 @@ void IncSrEngine::RunPrunedIterations(graph::NodeId target,
   std::sort(stats_.touched_nodes.begin(), stats_.touched_nodes.end());
 }
 
-template <typename SMatrix>
 Status IncSrEngine::ApplyRowUpdate(graph::NodeId target,
                                    std::span<const graph::EdgeUpdate> changes,
                                    graph::DynamicDiGraph* graph,
-                                   la::DynamicRowMatrix* q, SMatrix* s) {
+                                   la::DynamicRowMatrix* q, la::ScoreStore* s) {
   INCSR_CHECK(graph != nullptr && q != nullptr && s != nullptr,
               "ApplyRowUpdate: null output");
   const std::size_t n = graph->num_nodes();
@@ -532,22 +527,5 @@ Status IncSrEngine::ApplyRowUpdate(graph::NodeId target,
   RunPrunedIterations(target, *graph, s);
   return Status::OK();
 }
-
-// The engine is used with exactly two score containers: the plain dense
-// matrix (tests, benches, reference paths) and the serving layer's
-// copy-on-write ScoreStore. Instantiate both here so callers only need the
-// declarations.
-template Status IncSrEngine::ApplyUpdate<la::DenseMatrix>(
-    const graph::EdgeUpdate&, graph::DynamicDiGraph*, la::DynamicRowMatrix*,
-    la::DenseMatrix*);
-template Status IncSrEngine::ApplyUpdate<la::ScoreStore>(
-    const graph::EdgeUpdate&, graph::DynamicDiGraph*, la::DynamicRowMatrix*,
-    la::ScoreStore*);
-template Status IncSrEngine::ApplyRowUpdate<la::DenseMatrix>(
-    graph::NodeId, std::span<const graph::EdgeUpdate>, graph::DynamicDiGraph*,
-    la::DynamicRowMatrix*, la::DenseMatrix*);
-template Status IncSrEngine::ApplyRowUpdate<la::ScoreStore>(
-    graph::NodeId, std::span<const graph::EdgeUpdate>, graph::DynamicDiGraph*,
-    la::DynamicRowMatrix*, la::ScoreStore*);
 
 }  // namespace incsr::core

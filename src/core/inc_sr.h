@@ -23,7 +23,6 @@
 #include "core/rank_one_update.h"
 #include "graph/digraph.h"
 #include "graph/update_stream.h"
-#include "la/dense_matrix.h"
 #include "la/row_writer.h"
 #include "la/score_store.h"
 #include "la/sparse_matrix.h"
@@ -35,21 +34,9 @@ namespace incsr::core {
 /// matrix; its scratch buffers are recycled across updates so steady-state
 /// unit updates allocate nothing of O(n).
 ///
-/// The update entry points are generic over the score container SMatrix —
-/// la::DenseMatrix (in-place, the tests' reference path) or la::ScoreStore
-/// (per-row copy-on-write, the serving path). SMatrix must provide
-/// rows()/cols(), operator()(i, j) and ReadRow(i, scratch) for reads
-/// (representation-agnostic: sparse-backed store rows gather into the
-/// scratch), Col(j), and BeginWriteRow(i, writer)/CommitWriteRow(writer)
-/// as the sole write entry point (the store hands out no writable row
-/// pointer): kernels emit (column, delta) pairs into the la::RowWriter
-/// session and the container merges them into whatever backing the row
-/// has — dense-direct for dense rows, a sparse index-merge for sparse
-/// rows, which stay sparse. The engine only ever opens
-/// sessions for rows it actually scatters into, which is what keeps the
-/// ScoreStore's COW cost at O(affected rows) and its transient dense
-/// footprint at O(spilled rows) instead of O(touched · n). Definitions
-/// live in inc_sr.cc with explicit instantiations for both containers.
+/// S is a la::ScoreStore, read through ReadRow and written only through
+/// per-row la::RowWriter sessions, opened just for the rows the engine
+/// scatters into (so a publish pays COW for O(affected rows) only).
 /// The hot loops — seed scan, support expansion, outer-product scatter —
 /// run on the shared Scheduler with options.num_threads-way parallelism.
 /// S is bitwise identical at every thread count: rows are scattered
@@ -67,10 +54,9 @@ class IncSrEngine {
   /// Applies one unit update. On entry *graph, *q, *s must be mutually
   /// consistent OLD state; on success they hold the NEW state. On failure
   /// nothing is modified.
-  template <typename SMatrix>
   Status ApplyUpdate(const graph::EdgeUpdate& update,
                      graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q,
-                     SMatrix* s);
+                     la::ScoreStore* s);
 
   /// Generalized (coalesced) rank-one update: absorbs EVERY change in
   /// `changes` — all of which must target node `target` — with a single
@@ -79,11 +65,10 @@ class IncSrEngine {
   /// γ = vᵀz, w = Q·z + (γ/2)u) instead of the per-case Eqs. (27)-(28).
   /// All changes are validated against the old state before anything is
   /// mutated; on failure nothing is modified.
-  template <typename SMatrix>
   Status ApplyRowUpdate(graph::NodeId target,
                         std::span<const graph::EdgeUpdate> changes,
                         graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q,
-                        SMatrix* s);
+                        la::ScoreStore* s);
 
   /// Affected-area measurements of the most recent successful update.
   const AffectedAreaStats& last_stats() const { return stats_; }
@@ -120,10 +105,10 @@ class IncSrEngine {
                            Workspace* out);
 
   // θ on its support B₀, computed from the OLD graph/Q/S.
-  template <typename SMatrix>
   Status ComputeSparseSeed(const graph::EdgeUpdate& update,
                            const graph::DynamicDiGraph& graph,
-                           const la::DynamicRowMatrix& q, const SMatrix& s,
+                           const la::DynamicRowMatrix& q,
+                           const la::ScoreStore& s,
                            RankOneUpdate* rank_one, Workspace* theta);
 
   // next ← scale · Q̃ · cur, where Q̃ is read off the NEW graph
@@ -138,16 +123,15 @@ class IncSrEngine {
   // rows ⇒ disjoint writers), and committed serially; each row's write
   // sequence equals the serial kernel's, so the result is bitwise
   // identical to serial whatever backing each row has.
-  template <typename SMatrix>
-  void ScatterOuter(const Workspace& xi, const Workspace& eta, SMatrix* s);
+  void ScatterOuter(const Workspace& xi, const Workspace& eta,
+                    la::ScoreStore* s);
 
   // Shared tail of both update paths: seeds ξ₀ = C·e_target, η₀ = θ
   // (already in eta_), runs the K pruned iterations against the NEW
   // graph, scattering into S and recording stats.
-  template <typename SMatrix>
   void RunPrunedIterations(graph::NodeId target,
                            const graph::DynamicDiGraph& new_graph,
-                           SMatrix* s);
+                           la::ScoreStore* s);
 
   // Adds every index of `ws` not yet in stats_.touched_nodes (dedup via
   // touched_seen_, which mirrors stats_.touched_nodes membership).

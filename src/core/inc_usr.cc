@@ -10,9 +10,8 @@
 
 namespace incsr::core {
 
-template <typename SMatrix>
 Result<la::DenseMatrix> IncUsrAuxiliaryM(
-    const la::DynamicRowMatrix& q, const SMatrix& s,
+    const la::DynamicRowMatrix& q, const la::ScoreStore& s,
     const graph::EdgeUpdate& update, const simrank::SimRankOptions& options) {
   Result<UpdateSeed> seed = [&]() -> Result<UpdateSeed> {
     TRACE_SCOPE(kKernelSeed);
@@ -58,23 +57,10 @@ Result<la::DenseMatrix> IncUsrAuxiliaryM(
   return m;
 }
 
-Result<la::DenseMatrix> IncUsrDelta(const la::DynamicRowMatrix& q,
-                                    const la::DenseMatrix& s,
-                                    const graph::EdgeUpdate& update,
-                                    const simrank::SimRankOptions& options) {
-  Result<la::DenseMatrix> m = IncUsrAuxiliaryM(q, s, update, options);
-  if (!m.ok()) return m.status();
-  // ΔS = M_K + M_Kᵀ (Theorem 2).
-  la::DenseMatrix delta = m->Transpose();
-  delta.AddScaled(1.0, m.value());
-  return delta;
-}
-
-template <typename SMatrix>
 Status IncUsrApplyUpdate(const graph::EdgeUpdate& update,
                          const simrank::SimRankOptions& options,
                          graph::DynamicDiGraph* graph,
-                         la::DynamicRowMatrix* q, SMatrix* s) {
+                         la::DynamicRowMatrix* q, la::ScoreStore* s) {
   INCSR_CHECK(graph != nullptr && q != nullptr && s != nullptr,
               "IncUsrApplyUpdate: null output");
   Result<la::DenseMatrix> m = IncUsrAuxiliaryM(*q, *s, update, options);
@@ -126,18 +112,5 @@ Status IncUsrApplyUpdate(const graph::EdgeUpdate& update,
   for (std::size_t i = 0; i < n; ++i) s->CommitWriteRow(&writers[i]);
   return Status::OK();
 }
-
-template Result<la::DenseMatrix> IncUsrAuxiliaryM<la::DenseMatrix>(
-    const la::DynamicRowMatrix&, const la::DenseMatrix&,
-    const graph::EdgeUpdate&, const simrank::SimRankOptions&);
-template Result<la::DenseMatrix> IncUsrAuxiliaryM<la::ScoreStore>(
-    const la::DynamicRowMatrix&, const la::ScoreStore&,
-    const graph::EdgeUpdate&, const simrank::SimRankOptions&);
-template Status IncUsrApplyUpdate<la::DenseMatrix>(
-    const graph::EdgeUpdate&, const simrank::SimRankOptions&,
-    graph::DynamicDiGraph*, la::DynamicRowMatrix*, la::DenseMatrix*);
-template Status IncUsrApplyUpdate<la::ScoreStore>(
-    const graph::EdgeUpdate&, const simrank::SimRankOptions&,
-    graph::DynamicDiGraph*, la::DynamicRowMatrix*, la::ScoreStore*);
 
 }  // namespace incsr::core

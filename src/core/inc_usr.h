@@ -25,31 +25,20 @@
 namespace incsr::core {
 
 /// Computes the K-truncated auxiliary matrix M_K for a unit update from
-/// the OLD Q and S (Algorithm 1, lines 1-17); ΔS = M_K + M_Kᵀ. Generic
-/// over the score container (reads only); instantiated for la::DenseMatrix
-/// and la::ScoreStore in inc_usr.cc.
-template <typename SMatrix>
+/// the OLD Q and S (Algorithm 1, lines 1-17); ΔS = M_K + M_Kᵀ.
 Result<la::DenseMatrix> IncUsrAuxiliaryM(const la::DynamicRowMatrix& q,
-                                         const SMatrix& s,
+                                         const la::ScoreStore& s,
                                          const graph::EdgeUpdate& update,
                                          const simrank::SimRankOptions& options);
-
-/// Computes the K-truncated ΔS = M_K + M_Kᵀ for a unit update from the OLD
-/// Q and S (Algorithm 1, lines 1-17 — everything except the final add).
-Result<la::DenseMatrix> IncUsrDelta(const la::DynamicRowMatrix& q,
-                                    const la::DenseMatrix& s,
-                                    const graph::EdgeUpdate& update,
-                                    const simrank::SimRankOptions& options);
 
 /// Full unit-update cycle: validates the update against *graph, computes
 /// ΔS from the old state, applies the edge change to *graph, refreshes the
 /// touched row of *q, and adds ΔS into *s. All three outputs are left
 /// unmodified on failure.
-template <typename SMatrix>
 Status IncUsrApplyUpdate(const graph::EdgeUpdate& update,
                          const simrank::SimRankOptions& options,
                          graph::DynamicDiGraph* graph,
-                         la::DynamicRowMatrix* q, SMatrix* s);
+                         la::DynamicRowMatrix* q, la::ScoreStore* s);
 
 }  // namespace incsr::core
 

@@ -7,10 +7,8 @@ namespace incsr::core {
 namespace {
 
 // S is symmetric, so column i is row i: one contiguous row resolve
-// instead of n strided probes (on a ScoreStore, s.Col(i) pays a row
-// lookup per element — this is the seed path's dominant memory cost).
-template <typename SMatrix>
-la::Vector SymmetricColumn(const SMatrix& s, std::size_t i) {
+// instead of n strided probes, one row lookup each.
+la::Vector SymmetricColumn(const la::ScoreStore& s, std::size_t i) {
   la::Vector out(s.cols());
   // ReadRow either hands back the contiguous dense payload (copied below)
   // or gathers a sparse-backed row straight into `out` and returns its
@@ -22,9 +20,8 @@ la::Vector SymmetricColumn(const SMatrix& s, std::size_t i) {
 
 }  // namespace
 
-template <typename SMatrix>
 Result<UpdateSeed> ComputeUpdateSeed(const la::DynamicRowMatrix& q,
-                                     const SMatrix& s,
+                                     const la::ScoreStore& s,
                                      const graph::EdgeUpdate& update,
                                      const simrank::SimRankOptions& options) {
   if (s.rows() != q.rows() || s.cols() != q.cols()) {
@@ -84,12 +81,5 @@ Result<UpdateSeed> ComputeUpdateSeed(const la::DynamicRowMatrix& q,
   }
   return seed;
 }
-
-template Result<UpdateSeed> ComputeUpdateSeed<la::DenseMatrix>(
-    const la::DynamicRowMatrix&, const la::DenseMatrix&,
-    const graph::EdgeUpdate&, const simrank::SimRankOptions&);
-template Result<UpdateSeed> ComputeUpdateSeed<la::ScoreStore>(
-    const la::DynamicRowMatrix&, const la::ScoreStore&,
-    const graph::EdgeUpdate&, const simrank::SimRankOptions&);
 
 }  // namespace incsr::core

@@ -23,7 +23,6 @@
 
 #include "common/status.h"
 #include "core/rank_one_update.h"
-#include "la/dense_matrix.h"
 #include "la/score_store.h"
 #include "la/sparse_matrix.h"
 #include "la/vector.h"
@@ -40,12 +39,9 @@ struct UpdateSeed {
 };
 
 /// Computes the dense seed from the OLD transition matrix and OLD scores
-/// (Algorithm 1, lines 1-12). Generic over the score container (dense
-/// matrix or copy-on-write ScoreStore — reads only); instantiated for both
-/// in update_seed.cc.
-template <typename SMatrix>
+/// (Algorithm 1, lines 1-12).
 Result<UpdateSeed> ComputeUpdateSeed(const la::DynamicRowMatrix& q,
-                                     const SMatrix& s,
+                                     const la::ScoreStore& s,
                                      const graph::EdgeUpdate& update,
                                      const simrank::SimRankOptions& options);
 

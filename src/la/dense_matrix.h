@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <string>
 
-#include "la/row_writer.h"
 #include "la/vector.h"
 
 namespace incsr::la {
@@ -57,13 +56,6 @@ class DenseMatrix {
     return data_.data() + i * cols_;
   }
   double* RowPtr(std::size_t i) { return data_.data() + i * cols_; }
-  /// Representation-aware write session shared with la::ScoreStore (the
-  /// kernels' write contract): a plain dense matrix always opens a
-  /// dense-direct session on the row, and commit is a no-op.
-  void BeginWriteRow(std::size_t i, RowWriter* w) {
-    w->BeginDense(i, RowPtr(i));
-  }
-  void CommitWriteRow(RowWriter* w) { w->Finish(); }
   /// Representation-agnostic read entry point shared with la::ScoreStore
   /// (which gathers sparse rows into *scratch); every row of a plain dense
   /// matrix is contiguous, so the scratch is never used.

@@ -76,8 +76,7 @@ class RowWriter {
   double* Dense();
 
   // ---- store-side session protocol ----------------------------------------
-  // Called by the score containers (ScoreStore, DenseMatrix); kernels
-  // never call these directly.
+  // Called by la::ScoreStore; kernels never call these directly.
 
   /// Opens a dense-direct session onto `dense` (cols entries, exclusively
   /// owned by the caller for the session's duration).

@@ -27,7 +27,35 @@ DenseMatrix MaterializeRows(const RowsLike& m) {
 
 DenseMatrix ScoreStore::View::ToDense() const { return MaterializeRows(*this); }
 
-ScoreStore::ScoreStore(DenseMatrix dense) { Assign(std::move(dense)); }
+ScoreStore::ScoreStore(DenseMatrix dense)
+    : rows_(dense.rows()),
+      cols_(dense.cols()),
+      blocks_(rows_),
+      shared_(rows_, 0),
+      // Writes between now and the first Publish() hit unshared rows and
+      // are not individually tracked — the whole matrix counts as touched.
+      all_rows_touched_(true) {
+  stats_.rows_materialized = rows_;
+  stats_.bytes_materialized =
+      static_cast<std::uint64_t>(rows_) * cols_ * sizeof(double);
+  BumpDensePeak();
+  // Row payloads are disjoint and each is a pure copy, so the
+  // materialization parallelizes deterministically; this is what makes
+  // a shard-merge's FromState re-init row-parallel instead of the O(n²)
+  // serial copy it used to be. Aim for ~32K doubles per chunk.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 32768 / std::max<std::size_t>(cols_, 1));
+  Scheduler::Global().ParallelFor(
+      0, rows_, grain, Scheduler::ResolveNumThreads(0),
+      [this, &dense](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          auto block = std::make_shared<RowBlock>();
+          const double* src = dense.RowPtr(i);
+          block->dense.assign(src, src + cols_);
+          blocks_[i] = std::move(block);
+        }
+      });
+}
 
 ScoreStore ScoreStore::ScaledIdentity(std::size_t n, double value) {
   ScoreStore store;
@@ -64,39 +92,35 @@ void ScoreStore::ReplaceRow(std::size_t i,
   shared_[i] = 0;
 }
 
-void ScoreStore::Assign(DenseMatrix dense) {
-  rows_ = dense.rows();
-  cols_ = dense.cols();
-  blocks_.assign(rows_, nullptr);
-  shared_.assign(rows_, 0);
-  // Writes between now and the first Publish() hit unshared rows and are
-  // not individually tracked — the whole matrix counts as touched.
+void ScoreStore::GrowByIsolatedNode(double self_score) {
+  ++cols_;
+  for (std::size_t i = 0; i < rows_; ++i) {
+    const RowBlock& block = *blocks_[i];
+    // A sparse row already reads +0.0 in the new column, so its block is
+    // reused as is — shared flag included, so a commit into a block an
+    // older View holds still builds a new block instead of merging in
+    // place.
+    if (block.is_sparse()) continue;
+    auto grown = std::make_shared<RowBlock>();
+    grown->dense.reserve(cols_);
+    grown->dense.assign(block.dense.begin(), block.dense.end());
+    grown->dense.push_back(0.0);
+    blocks_[i] = std::move(grown);
+    shared_[i] = 0;
+    ++stats_.rows_materialized;
+    stats_.bytes_materialized += cols_ * sizeof(double);
+  }
+  blocks_.push_back(MakeSingleEntryRow(rows_, self_score));
+  shared_.push_back(0);
+  ++rows_;
+  const std::size_t new_row_bytes = blocks_.back()->payload_bytes();
+  ++stats_.rows_sparse;
+  stats_.sparse_payload_bytes += new_row_bytes;
+  ++stats_.rows_materialized;
+  stats_.bytes_materialized += new_row_bytes;
   all_rows_touched_ = true;
   touched_rows_.clear();
-  stats_.rows_materialized += rows_;
-  stats_.bytes_materialized +=
-      static_cast<std::uint64_t>(rows_) * cols_ * sizeof(double);
-  // A full rebuild lands every row dense; the serving layer re-earns the
-  // sparse tier from traffic afterwards.
-  stats_.rows_sparse = 0;
-  stats_.sparse_payload_bytes = 0;
   BumpDensePeak();
-  // Row payloads are disjoint and each is a pure copy, so the
-  // materialization parallelizes deterministically; this is what makes
-  // a shard-merge's FromState re-init row-parallel instead of the O(n²)
-  // serial copy it used to be. Aim for ~32K doubles per chunk.
-  const std::size_t grain =
-      std::max<std::size_t>(1, 32768 / std::max<std::size_t>(cols_, 1));
-  Scheduler::Global().ParallelFor(
-      0, rows_, grain, Scheduler::ResolveNumThreads(0),
-      [this, &dense](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          auto block = std::make_shared<RowBlock>();
-          const double* src = dense.RowPtr(i);
-          block->dense.assign(src, src + cols_);
-          blocks_[i] = std::move(block);
-        }
-      });
 }
 
 std::uint64_t ScoreStore::DensePayloadBytes() const {
@@ -257,13 +281,6 @@ std::uint64_t ScoreStore::payload_bytes() const {
   const std::uint64_t dense_rows =
       static_cast<std::uint64_t>(rows_) - stats_.rows_sparse;
   return dense_rows * cols_ * sizeof(double) + stats_.sparse_payload_bytes;
-}
-
-Vector ScoreStore::Col(std::size_t j) const {
-  INCSR_DCHECK(j < cols_, "col %zu out of %zu", j, cols_);
-  Vector out(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) out[i] = (*this)(i, j);
-  return out;
 }
 
 DenseMatrix ScoreStore::ToDense() const { return MaterializeRows(*this); }

@@ -35,9 +35,9 @@
 //
 // Threading model (matches the serving layer): ONE writer thread calls the
 // mutating methods (BeginWriteRow/CommitWriteRow, SparsifyRow, DensifyRow,
-// Publish, Assign); any number of reader threads read through Views they
-// obtained via a synchronizing handoff (e.g. a shared_ptr swap under a
-// mutex). Blocks are immutable once shared and freed by shared_ptr
+// Publish, GrowByIsolatedNode); any number of reader threads read through
+// Views they obtained via a synchronizing handoff (e.g. a shared_ptr swap
+// under a mutex). Blocks are immutable once shared and freed by shared_ptr
 // refcounting, so no reader ever races a write — the COW decision uses a
 // writer-private "shared since last clone" flag, not
 // shared_ptr::use_count(), keeping the store TSan-clean by design.
@@ -68,9 +68,9 @@ struct ScoreStoreStats {
   std::uint64_t bytes_copied = 0;
   /// Publish() calls.
   std::uint64_t publishes = 0;
-  /// Rows (and bytes) materialized from a dense source — construction
-  /// and Assign(), i.e. the full-rebuild cost as opposed to the
-  /// incremental COW cost above. The shard layer reports its
+  /// Rows (and bytes) materialized outside the write path — construction
+  /// and GrowByIsolatedNode(), i.e. the full-rebuild cost as opposed to
+  /// the incremental COW cost above. The shard layer reports its
   /// merge-rebuild bytes from this counter so the accounting follows
   /// what the store actually allocated, whatever the backing
   /// representation.
@@ -179,7 +179,8 @@ class ScoreStore {
   /// n×n matrix `value · I` built sparse-direct: one stored entry per row,
   /// O(n) total instead of the O(n²) dense slab. This is how an engine
   /// stands up an edgeless-graph state at an n the dense store cannot
-  /// hold (rows densify on first write as usual).
+  /// hold (written rows merge in place and spill to dense only past
+  /// max_density).
   static ScoreStore ScaledIdentity(std::size_t n, double value);
 
   std::size_t rows() const { return rows_; }
@@ -263,8 +264,8 @@ class ScoreStore {
   // affected-area statistics. Writer thread only.
 
   /// True when every row must be assumed touched: fresh construction or
-  /// Assign(), where writes precede the first Publish() and are not
-  /// individually tracked.
+  /// GrowByIsolatedNode(), where writes precede the first Publish() and
+  /// are not individually tracked.
   bool all_rows_touched() const { return all_rows_touched_; }
 
   /// Row indices copy-on-written since the last Publish(), duplicate-free
@@ -274,9 +275,6 @@ class ScoreStore {
     return touched_rows_;
   }
 
-  /// Copies column j into a Vector (column scan across rows).
-  Vector Col(std::size_t j) const;
-
   /// Materializes the current matrix (bitwise-exact copy).
   DenseMatrix ToDense() const;
 
@@ -285,10 +283,14 @@ class ScoreStore {
   /// O(n) — never touches the O(n²) payload. Writer thread only.
   View Publish();
 
-  /// Replaces the whole matrix (e.g. after a node-count change). Every
-  /// row is rebuilt unshared and dense; previously published Views keep
-  /// serving the old content. Writer thread only.
-  void Assign(DenseMatrix dense);
+  /// Grows the n×n matrix to (n+1)×(n+1) for an isolated new node: the
+  /// new column is +0.0 in every old row and the new row holds only
+  /// `self_score` on its diagonal. Sparse rows keep their block (the new
+  /// column is an implicit zero) and its shared flag; dense rows are
+  /// rebuilt one entry wider; the new row is single-entry sparse. Every
+  /// row counts as touched, and previously published Views keep serving
+  /// the old geometry and bytes. Writer thread only.
+  void GrowByIsolatedNode(double self_score);
 
   const ScoreStoreStats& stats() const { return stats_; }
 

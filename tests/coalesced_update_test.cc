@@ -59,8 +59,8 @@ TEST(ApplyRowUpdate, SingleChangeMatchesUnitPath) {
   DynamicDiGraph g1 = TestGraph();
   DynamicDiGraph g2 = TestGraph();
   SimRankOptions options = Converged();
-  la::DenseMatrix s1 = simrank::BatchMatrix(g1, options);
-  la::DenseMatrix s2 = s1;
+  la::ScoreStore s1{simrank::BatchMatrix(g1, options)};
+  la::ScoreStore s2{s1.ToDense()};
   la::DynamicRowMatrix q1 = graph::BuildTransition(g1);
   la::DynamicRowMatrix q2 = graph::BuildTransition(g2);
   IncSrEngine unit(options);
@@ -91,7 +91,7 @@ TEST(ApplyRowUpdate, SingleChangeMatchesUnitPath) {
 TEST(ApplyRowUpdate, MultiInsertGroupMatchesBatchTruth) {
   DynamicDiGraph g = TestGraph(9);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
 
@@ -111,7 +111,7 @@ TEST(ApplyRowUpdate, MultiInsertGroupMatchesBatchTruth) {
 TEST(ApplyRowUpdate, MixedGroupIncludingNetZero) {
   DynamicDiGraph g = TestGraph(13);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
 
@@ -141,8 +141,8 @@ TEST(ApplyRowUpdate, MixedGroupIncludingNetZero) {
 TEST(ApplyRowUpdate, ValidationLeavesStateUntouched) {
   DynamicDiGraph g = TestGraph(21);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
-  la::DenseMatrix s_before = s;
+  la::DenseMatrix s_before = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{s_before};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   DynamicDiGraph g_before = g;
   IncSrEngine engine(options);
@@ -176,13 +176,12 @@ TEST(ApplyRowUpdate, ValidationLeavesStateUntouched) {
   EXPECT_EQ(la::MaxAbsDiff(s, s_before), 0.0);
 }
 
-TEST(CoalescedBatchEngine, WholeBatchMatchesSequentialAndTruth) {
-  DynamicDiGraph g_coalesced = TestGraph(31, 24, 70);
-  DynamicDiGraph g_sequential = TestGraph(31, 24, 70);
+TEST(ApplyBatchCoalesced, WholeBatchMatchesSequentialAndTruth) {
+  DynamicDiGraph g = TestGraph(31, 24, 70);
+  DynamicDiGraph g_sequential = g;
   SimRankOptions options = Converged();
-  la::DenseMatrix s_coalesced = simrank::BatchMatrix(g_coalesced, options);
-  la::DenseMatrix s_sequential = s_coalesced;
-  la::DynamicRowMatrix q_coalesced = graph::BuildTransition(g_coalesced);
+  la::DenseMatrix s0 = simrank::BatchMatrix(g, options);
+  la::ScoreStore s_sequential{s0};
   la::DynamicRowMatrix q_sequential = graph::BuildTransition(g_sequential);
 
   // A batch clustered on few targets: a "new paper cites many references"
@@ -190,25 +189,20 @@ TEST(CoalescedBatchEngine, WholeBatchMatchesSequentialAndTruth) {
   Rng rng(41);
   std::vector<EdgeUpdate> batch;
   for (graph::NodeId src : {1, 3, 5, 7, 9}) {
-    if (!g_coalesced.HasEdge(src, 20)) {
-      batch.push_back({UpdateKind::kInsert, src, 20});
-    }
+    if (!g.HasEdge(src, 20)) batch.push_back({UpdateKind::kInsert, src, 20});
   }
   for (graph::NodeId src : {2, 4, 6}) {
-    if (!g_coalesced.HasEdge(src, 21)) {
-      batch.push_back({UpdateKind::kInsert, src, 21});
-    }
+    if (!g.HasEdge(src, 21)) batch.push_back({UpdateKind::kInsert, src, 21});
   }
-  auto deletions = graph::SampleDeletions(g_coalesced, 3, &rng);
+  auto deletions = graph::SampleDeletions(g, 3, &rng);
   ASSERT_TRUE(deletions.ok());
   for (const auto& d : deletions.value()) batch.push_back(d);
-
-  CoalescedBatchEngine coalesced(options);
-  ASSERT_TRUE(coalesced
-                  .ApplyBatch(batch, &g_coalesced, &q_coalesced, &s_coalesced)
-                  .ok());
   // Fewer rank-one solves than unit updates.
-  EXPECT_LT(coalesced.last_group_count(), batch.size());
+  EXPECT_LT(CoalesceByTarget(batch).size(), batch.size());
+
+  auto coalesced = DynamicSimRank::FromState(g, s0, options);
+  ASSERT_TRUE(coalesced.ok());
+  ASSERT_TRUE(coalesced->ApplyBatchCoalesced(batch).ok());
 
   IncSrEngine sequential(options);
   for (const auto& update : batch) {
@@ -217,11 +211,11 @@ TEST(CoalescedBatchEngine, WholeBatchMatchesSequentialAndTruth) {
                                &s_sequential)
             .ok());
   }
-  EXPECT_EQ(g_coalesced.Edges(), g_sequential.Edges());
-  EXPECT_LT(la::MaxAbsDiff(s_coalesced, s_sequential), 1e-9);
-  EXPECT_LT(
-      la::MaxAbsDiff(s_coalesced, simrank::BatchMatrix(g_coalesced, options)),
-      1e-9);
+  EXPECT_EQ(coalesced->graph().Edges(), g_sequential.Edges());
+  EXPECT_LT(la::MaxAbsDiff(coalesced->scores(), s_sequential), 1e-9);
+  EXPECT_LT(la::MaxAbsDiff(coalesced->scores(),
+                           simrank::BatchMatrix(coalesced->graph(), options)),
+            1e-9);
 }
 
 TEST(DynamicSimRank, ApplyBatchMatchesCoalescedOnMixedRevisitingStream) {
@@ -292,21 +286,21 @@ TEST(DynamicSimRank, ApplyBatchMatchesCoalescedOnMixedRevisitingStream) {
   }
 }
 
-TEST(CoalescedBatchEngine, StatsAccumulateAcrossGroups) {
+TEST(ApplyBatchCoalesced, StatsAccumulateAcrossGroups) {
   DynamicDiGraph g = TestGraph(51);
   SimRankOptions options;
   options.iterations = 8;
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
-  la::DynamicRowMatrix q = graph::BuildTransition(g);
-  CoalescedBatchEngine engine(options);
+  auto index =
+      DynamicSimRank::FromState(g, simrank::BatchMatrix(g, options), options);
+  ASSERT_TRUE(index.ok());
   Rng rng(7);
   auto ins = graph::SampleInsertions(g, 4, &rng);
   ASSERT_TRUE(ins.ok());
-  ASSERT_TRUE(engine.ApplyBatch(ins.value(), &g, &q, &s).ok());
-  EXPECT_GE(engine.last_group_count(), 1u);
-  EXPECT_EQ(engine.last_stats().a_sizes.size(),
-            engine.last_group_count() *
-                (static_cast<std::size_t>(options.iterations) + 1));
+  ASSERT_TRUE(index->ApplyBatchCoalesced(ins.value()).ok());
+  const std::size_t groups = CoalesceByTarget(ins.value()).size();
+  EXPECT_GE(groups, 1u);
+  EXPECT_EQ(index->last_batch_stats().a_sizes.size(),
+            groups * (static_cast<std::size_t>(options.iterations) + 1));
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ DynamicDiGraph SmallCitationGraph() {
 TEST(IncUsrExactness, SingleInsertionMatchesBatch) {
   DynamicDiGraph g = SmallCitationGraph();
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   EdgeUpdate update{UpdateKind::kInsert, 3, 5};  // target in-degree 1 -> 2
@@ -64,7 +64,7 @@ TEST(IncUsrExactness, SingleInsertionMatchesBatch) {
 TEST(IncUsrExactness, InsertionIntoZeroInDegreeTarget) {
   DynamicDiGraph g = SmallCitationGraph();
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   EdgeUpdate update{UpdateKind::kInsert, 2, 0};  // node 0 has d_j = 0
@@ -75,7 +75,7 @@ TEST(IncUsrExactness, InsertionIntoZeroInDegreeTarget) {
 TEST(IncUsrExactness, DeletionMatchesBatch) {
   DynamicDiGraph g = SmallCitationGraph();
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   EdgeUpdate update{UpdateKind::kDelete, 0, 2};  // target in-degree 3 -> 2
@@ -86,7 +86,7 @@ TEST(IncUsrExactness, DeletionMatchesBatch) {
 TEST(IncUsrExactness, DeletionToZeroInDegree) {
   DynamicDiGraph g = SmallCitationGraph();
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   EdgeUpdate update{UpdateKind::kDelete, 0, 1};  // d_j = 2 ... first drop to 1
@@ -103,8 +103,8 @@ TEST(IncSrExactness, MatchesIncUsrAndBatchOnUpdateSequence) {
   DynamicDiGraph g_dense = SmallCitationGraph();
   SimRankOptions options = Converged();
 
-  la::DenseMatrix s_pruned = simrank::BatchMatrix(g_pruned, options);
-  la::DenseMatrix s_dense = s_pruned;
+  la::ScoreStore s_pruned{simrank::BatchMatrix(g_pruned, options)};
+  la::ScoreStore s_dense{s_pruned.ToDense()};
   la::DynamicRowMatrix q_pruned = graph::BuildTransition(g_pruned);
   la::DynamicRowMatrix q_dense = graph::BuildTransition(g_dense);
   core::IncSrEngine engine(options);
@@ -148,7 +148,7 @@ TEST_P(RandomGraphExactness, MixedUpdatesStayExact) {
       graph::MaterializeGraph(param.nodes, stream.value());
   SimRankOptions options = Converged(param.damping);
 
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   core::IncSrEngine engine(options);
 
@@ -237,6 +237,22 @@ TEST(DynamicSimRankApi, AddNodeExtension) {
   ASSERT_TRUE(index->InsertEdge(1, fresh).ok());
   la::DenseMatrix expected = simrank::BatchMatrix(index->graph(), Converged());
   EXPECT_LT(la::MaxAbsDiff(index->scores(), expected), 1e-9);
+
+  // Growing a sparse isolated-node index keeps every row sparse, and the
+  // grown index stays exact.
+  auto isolated = DynamicSimRank::CreateIsolated(64, Converged());
+  ASSERT_TRUE(isolated.ok());
+  const graph::NodeId added = isolated->AddNode();
+  EXPECT_EQ(added, 64);
+  ASSERT_TRUE(isolated->InsertEdge(0, added).ok());
+  ASSERT_TRUE(isolated->InsertEdge(1, added).ok());
+  const la::ScoreStore& grown = isolated->scores();
+  ASSERT_EQ(grown.rows(), 65u);
+  for (std::size_t i = 0; i < grown.rows(); ++i) {
+    EXPECT_TRUE(grown.RowIsSparse(i)) << "row " << i;
+  }
+  la::DenseMatrix truth = simrank::BatchMatrix(isolated->graph(), Converged());
+  EXPECT_LT(la::MaxAbsDiff(grown, truth), 1e-9);
 }
 
 TEST(DynamicSimRankApi, TopKPairsOrdersByScore) {

@@ -5,10 +5,12 @@
 // order, and the expansion kernels merge per-chunk accumulators whose
 // chunk geometry depends only on the data shape. These tests drive mixed
 // insert/delete streams through every UpdateAlgorithm (plus the
-// coalesced batch path) on both score containers at num_threads ∈
-// {1, 2, 4, hardware} and memcmp the results, including the epoch-view
-// sequence a serving reader would pin. The suite runs in the TSan CI job
-// to prove the pool + copy-on-write interplay is race-free.
+// coalesced batch path) at num_threads ∈ {1, 2, 4, hardware} and memcmp
+// the results, both on a never-published score store (every write lands
+// in place) and on one that publishes epochs (writes copy-on-write),
+// including the epoch-view sequence a serving reader would pin. The
+// suite runs in the TSan CI job to prove the pool + copy-on-write
+// interplay is race-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,10 +162,9 @@ struct Replay {
 
 enum class Mode { kIncSrUnit, kIncUsrUnit, kCoalescedBatch };
 
-template <typename SMatrix>
 void Drive(const Fixture& f, Mode mode, int threads,
-           graph::DynamicDiGraph* g, la::DynamicRowMatrix* q, SMatrix* s,
-           const std::function<void()>& after_each) {
+           graph::DynamicDiGraph* g, la::DynamicRowMatrix* q,
+           la::ScoreStore* s, const std::function<void()>& after_each) {
   simrank::SimRankOptions options = f.options;
   options.num_threads = threads;
   switch (mode) {
@@ -183,22 +184,20 @@ void Drive(const Fixture& f, Mode mode, int threads,
       break;
     }
     case Mode::kCoalescedBatch: {
-      core::CoalescedBatchEngine engine(options);
-      ASSERT_TRUE(engine.ApplyBatch(f.stream, g, q, s).ok());
+      core::IncSrEngine engine(options);
+      for (const core::CoalescedGroup& group :
+           core::CoalesceByTarget(f.stream)) {
+        ASSERT_TRUE(
+            engine.ApplyRowUpdate(group.target, group.changes, g, q, s).ok());
+      }
       after_each();
       break;
     }
   }
 }
 
-Replay ReplayDense(const Fixture& f, Mode mode, int threads) {
-  graph::DynamicDiGraph g = f.base;
-  la::DynamicRowMatrix q = graph::BuildTransition(g);
-  la::DenseMatrix s = f.s0;
-  Drive(f, mode, threads, &g, &q, &s, [] {});
-  return Replay{std::move(s), {}};
-}
-
+// publish_every = 0 never publishes, so every write lands in place;
+// otherwise every write after a publish copies-on-write.
 Replay ReplayStore(const Fixture& f, Mode mode, int threads,
                    std::size_t publish_every) {
   graph::DynamicDiGraph g = f.base;
@@ -207,7 +206,7 @@ Replay ReplayStore(const Fixture& f, Mode mode, int threads,
   Replay replay;
   std::size_t applied = 0;
   Drive(f, mode, threads, &g, &q, &s, [&] {
-    if (++applied % publish_every == 0) {
+    if (publish_every > 0 && ++applied % publish_every == 0) {
       replay.epochs.push_back(s.Publish().ToDense());
     }
   });
@@ -217,15 +216,15 @@ Replay ReplayStore(const Fixture& f, Mode mode, int threads,
 
 class ParallelKernelsTest : public ::testing::TestWithParam<Mode> {};
 
-TEST_P(ParallelKernelsTest, DenseBitwiseIdenticalAcrossThreadCounts) {
+TEST_P(ParallelKernelsTest, InPlaceStoreBitwiseIdenticalAcrossThreadCounts) {
   // Inc-uSR is O(K·n²) per update — keep its fixture smaller.
   const bool usr = GetParam() == Mode::kIncUsrUnit;
   Fixture f = usr ? MakeFixture(130, 9, 6, 6) : MakeFixture(520, 24, 16, 10);
-  Replay serial = ReplayDense(f, GetParam(), 1);
+  Replay serial = ReplayStore(f, GetParam(), 1, /*publish_every=*/0);
   for (int threads : ThreadCounts()) {
-    Replay run = ReplayDense(f, GetParam(), threads);
+    Replay run = ReplayStore(f, GetParam(), threads, /*publish_every=*/0);
     EXPECT_TRUE(BitwiseEqual(run.final_s, serial.final_s))
-        << "dense S diverged at " << threads << " threads";
+        << "in-place S diverged at " << threads << " threads";
   }
 }
 
@@ -234,10 +233,10 @@ TEST_P(ParallelKernelsTest, StoreEpochsByteIdenticalAcrossThreadCounts) {
   Fixture f = usr ? MakeFixture(130, 9, 6, 6) : MakeFixture(520, 24, 16, 10);
   const std::size_t publish_every = 8;
   Replay serial = ReplayStore(f, GetParam(), 1, publish_every);
-  // The store path must also match the dense path bitwise (same kernels,
-  // different container).
-  EXPECT_TRUE(
-      BitwiseEqual(serial.final_s, ReplayDense(f, GetParam(), 1).final_s));
+  // Copy-on-write must match in-place writes bitwise (same kernels, same
+  // write sequence per row).
+  EXPECT_TRUE(BitwiseEqual(serial.final_s,
+                           ReplayStore(f, GetParam(), 1, 0).final_s));
   for (int threads : ThreadCounts()) {
     Replay run = ReplayStore(f, GetParam(), threads, publish_every);
     EXPECT_TRUE(BitwiseEqual(run.final_s, serial.final_s))

@@ -170,6 +170,13 @@ TEST(FacadeProperties, CreateValidatesOptions) {
   bad.damping = 0.6;
   bad.iterations = 0;
   EXPECT_FALSE(DynamicSimRank::Create(DynamicDiGraph(3), bad).ok());
+  // FromState applies the same option checks to a well-shaped S.
+  const DynamicDiGraph g(3);
+  const la::DenseMatrix s = simrank::BatchMatrix(g, Converged());
+  EXPECT_FALSE(DynamicSimRank::FromState(g, s, bad).ok());
+  bad.iterations = -3;
+  EXPECT_FALSE(DynamicSimRank::FromState(g, s, bad).ok());
+  EXPECT_TRUE(DynamicSimRank::FromState(g, s, Converged()).ok());
 }
 
 TEST(FacadeProperties, FromStateValidatesShape) {

@@ -5,9 +5,10 @@
 //     stable, copy accounting matches.
 //   - Bitwise engine equivalence: for EVERY UpdateAlgorithm (and the
 //     coalesced batch path) a mixed insert/delete stream applied through a
-//     ScoreStore — with epoch publishes and pinned views interleaved to
-//     force COW — produces a matrix bitwise identical to the same stream
-//     applied through a plain DenseMatrix.
+//     store with epoch publishes and pinned views interleaved — so every
+//     write copies-on-write — produces a matrix bitwise identical to the
+//     same stream applied through a never-published store, whose writes
+//     all land in place.
 //   - Concurrency: a pinned view stays byte-stable while a writer thread
 //     COWs rows and republishes. The suite is TSan-clean; CI runs it under
 //     -fsanitize=thread.
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/coalesced_update.h"
 #include "core/dynamic_simrank.h"
 #include "core/inc_sr.h"
 #include "core/inc_usr.h"
@@ -65,9 +65,6 @@ TEST(ScoreStore, RoundTripsDenseContent) {
       EXPECT_EQ(store(i, j), dense(i, j));
     }
   }
-  // Column reads match the dense column.
-  Vector col = store.Col(3);
-  for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(col[i], dense(i, 3));
   EXPECT_EQ(MaxAbsDiff(store, dense), 0.0);
 }
 
@@ -125,17 +122,43 @@ TEST(ScoreStore, PinnedViewIsImmutableAcrossManyEpochs) {
   EXPECT_TRUE(BitwiseEqual(pinned_bytes, initial));
 }
 
-TEST(ScoreStore, AssignRebuildsGeometryAndOldViewsSurvive) {
-  ScoreStore store(TestMatrix(6, 6));
+TEST(ScoreStore, GrowByIsolatedNodeKeepsTiersAndOldViewsSurvive) {
+  // Mixed tiers: rows 0-2 stay sparse (identity rows), rows 3-5 dense.
+  ScoreStore store = ScoreStore::ScaledIdentity(6, 0.4);
+  for (std::size_t i = 3; i < 6; ++i) ASSERT_TRUE(store.DensifyRow(i));
+  SetEntry(&store, 4, 1, 0.25);
   ScoreStore::View old_view = store.Publish();
   DenseMatrix old_bytes = old_view.ToDense();
 
-  store.Assign(TestMatrix(8, 8, /*seed=*/99));
-  EXPECT_EQ(store.rows(), 8u);
-  SetEntry(&store, 7, 7, -1.0);  // fresh rows are unshared: no copy
+  store.GrowByIsolatedNode(0.4);
+  EXPECT_EQ(store.rows(), 7u);
+  EXPECT_EQ(store.cols(), 7u);
+  EXPECT_TRUE(store.all_rows_touched());
+  for (std::size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(store.RowIsSparse(i), i < 3 || i == 6) << "row " << i;
+  }
+  DenseMatrix grown = store.ToDense();
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) EXPECT_EQ(grown(i, j), old_bytes(i, j));
+    EXPECT_EQ(grown(i, 6), 0.0);
+    EXPECT_EQ(grown(6, i), 0.0);
+  }
+  EXPECT_EQ(grown(6, 6), 0.4);
+
+  // Rebuilt dense rows are unshared: writing one copies nothing. A reused
+  // sparse block is still shared with old_view, so a merge into its row
+  // must build a new block rather than rewrite the one old_view holds.
+  SetEntry(&store, 5, 6, -1.0);
   EXPECT_EQ(store.stats().rows_copied, 0u);
+  RowWriter writer;
+  store.BeginWriteRow(1, &writer);
+  writer.Add(0, 0.5);
+  store.CommitWriteRow(&writer);
+  EXPECT_TRUE(store.RowIsSparse(1));
+  EXPECT_EQ(store(1, 0), 0.5);
 
   EXPECT_EQ(old_view.rows(), 6u);
+  EXPECT_EQ(old_view.cols(), 6u);
   EXPECT_TRUE(BitwiseEqual(old_view.ToDense(), old_bytes));
 }
 
@@ -161,34 +184,38 @@ std::vector<graph::EdgeUpdate> MixedStream(const graph::DynamicDiGraph& graph,
   return stream;
 }
 
-// Applies `stream` twice — once against a DenseMatrix, once against a
-// ScoreStore that publishes an epoch (and pins the view) after every
-// update to force maximal COW — and requires bitwise-identical results
-// after every single update.
+// Applies `stream` to two replicas of the same state — a store that
+// publishes an epoch (and pins the view) after every update, so every
+// write copies-on-write, and a store that never publishes, so every write
+// lands in place — and requires bitwise-identical results after every
+// single update. `apply` gets the replica index (0: copy-on-write,
+// 1: in place) so stateful engines can keep one instance per replica.
 template <typename ApplyFn>
-void ExpectBitwiseEquivalence(const graph::DynamicDiGraph& graph,
-                              const simrank::SimRankOptions& options,
-                              const std::vector<graph::EdgeUpdate>& stream,
-                              ApplyFn&& apply) {
-  graph::DynamicDiGraph g_dense = graph;
-  graph::DynamicDiGraph g_store = graph;
-  la::DynamicRowMatrix q_dense = graph::BuildTransition(g_dense);
-  la::DynamicRowMatrix q_store = graph::BuildTransition(g_store);
-  DenseMatrix s_dense = simrank::BatchMatrix(graph, options);
-  ScoreStore s_store((DenseMatrix(s_dense)));
+void ExpectCowMatchesInPlace(const graph::DynamicDiGraph& graph,
+                             const simrank::SimRankOptions& options,
+                             const std::vector<graph::EdgeUpdate>& stream,
+                             ApplyFn&& apply) {
+  graph::DynamicDiGraph g_cow = graph;
+  graph::DynamicDiGraph g_in_place = graph;
+  la::DynamicRowMatrix q_cow = graph::BuildTransition(g_cow);
+  la::DynamicRowMatrix q_in_place = graph::BuildTransition(g_in_place);
+  const DenseMatrix s0 = simrank::BatchMatrix(graph, options);
+  ScoreStore s_cow{s0};
+  ScoreStore s_in_place{s0};
 
   std::vector<ScoreStore::View> pinned;
-  pinned.push_back(s_store.Publish());
+  pinned.push_back(s_cow.Publish());
   for (std::size_t k = 0; k < stream.size(); ++k) {
-    ASSERT_TRUE(apply(stream[k], &g_dense, &q_dense, &s_dense).ok())
-        << "dense path failed at update " << k;
-    ASSERT_TRUE(apply(stream[k], &g_store, &q_store, &s_store).ok())
-        << "store path failed at update " << k;
-    ASSERT_TRUE(BitwiseEqual(s_dense, s_store.ToDense()))
+    ASSERT_TRUE(apply(0, stream[k], &g_cow, &q_cow, &s_cow).ok())
+        << "copy-on-write path failed at update " << k;
+    ASSERT_TRUE(apply(1, stream[k], &g_in_place, &q_in_place, &s_in_place).ok())
+        << "in-place path failed at update " << k;
+    ASSERT_TRUE(BitwiseEqual(s_cow.ToDense(), s_in_place.ToDense()))
         << "bitwise divergence after update " << k;
-    pinned.push_back(s_store.Publish());  // force COW on the next update
+    pinned.push_back(s_cow.Publish());  // force COW on the next update
   }
-  EXPECT_GT(s_store.stats().rows_copied, 0u);
+  EXPECT_GT(s_cow.stats().rows_copied, 0u);
+  EXPECT_EQ(s_in_place.stats().rows_copied, 0u);
 }
 
 simrank::SimRankOptions EngineOptions() {
@@ -204,18 +231,14 @@ TEST(ScoreStoreEngineEquivalence, IncSrUnitUpdatesAreBitwiseIdentical) {
   auto graph = graph::MaterializeGraph(20, stream_seed.value());
   auto updates = MixedStream(graph, 10, 6, 17);
 
-  core::IncSrEngine dense_engine(EngineOptions());
-  core::IncSrEngine store_engine(EngineOptions());
-  ExpectBitwiseEquivalence(
+  core::IncSrEngine cow_engine(EngineOptions());
+  core::IncSrEngine in_place_engine(EngineOptions());
+  ExpectCowMatchesInPlace(
       graph, EngineOptions(), updates,
-      [&](const graph::EdgeUpdate& u, graph::DynamicDiGraph* g,
-          la::DynamicRowMatrix* q, auto* s) {
-        if constexpr (std::is_same_v<std::remove_pointer_t<decltype(s)>,
-                                     DenseMatrix>) {
-          return dense_engine.ApplyUpdate(u, g, q, s);
-        } else {
-          return store_engine.ApplyUpdate(u, g, q, s);
-        }
+      [&](std::size_t replica, const graph::EdgeUpdate& u,
+          graph::DynamicDiGraph* g, la::DynamicRowMatrix* q, ScoreStore* s) {
+        core::IncSrEngine& engine = replica == 0 ? cow_engine : in_place_engine;
+        return engine.ApplyUpdate(u, g, q, s);
       });
 }
 
@@ -225,10 +248,10 @@ TEST(ScoreStoreEngineEquivalence, IncUsrUnitUpdatesAreBitwiseIdentical) {
   auto graph = graph::MaterializeGraph(14, stream_seed.value());
   auto updates = MixedStream(graph, 6, 4, 23);
 
-  ExpectBitwiseEquivalence(
+  ExpectCowMatchesInPlace(
       graph, EngineOptions(), updates,
-      [&](const graph::EdgeUpdate& u, graph::DynamicDiGraph* g,
-          la::DynamicRowMatrix* q, auto* s) {
+      [&](std::size_t /*replica*/, const graph::EdgeUpdate& u,
+          graph::DynamicDiGraph* g, la::DynamicRowMatrix* q, ScoreStore* s) {
         return core::IncUsrApplyUpdate(u, EngineOptions(), g, q, s);
       });
 }
@@ -239,40 +262,38 @@ TEST(ScoreStoreEngineEquivalence, CoalescedBatchesAreBitwiseIdentical) {
   auto graph = graph::MaterializeGraph(18, stream_seed.value());
   auto updates = MixedStream(graph, 12, 6, 29);
 
-  core::CoalescedBatchEngine dense_engine(EngineOptions());
-  core::CoalescedBatchEngine store_engine(EngineOptions());
-
-  graph::DynamicDiGraph g_dense = graph;
-  graph::DynamicDiGraph g_store = graph;
-  la::DynamicRowMatrix q_dense = graph::BuildTransition(g_dense);
-  la::DynamicRowMatrix q_store = graph::BuildTransition(g_store);
-  DenseMatrix s_dense = simrank::BatchMatrix(graph, EngineOptions());
-  ScoreStore s_store((DenseMatrix(s_dense)));
+  const DenseMatrix s0 = simrank::BatchMatrix(graph, EngineOptions());
+  auto cow = core::DynamicSimRank::FromState(graph, s0, EngineOptions());
+  auto in_place = core::DynamicSimRank::FromState(graph, s0, EngineOptions());
+  ASSERT_TRUE(cow.ok() && in_place.ok());
 
   // Split the stream into three batches with a publish (pinned view)
-  // between them, as the serving layer would.
+  // between them on the copy-on-write replica, as the serving layer would.
   std::vector<ScoreStore::View> pinned;
+  pinned.push_back(cow->mutable_score_store()->Publish());
   const std::size_t third = updates.size() / 3;
   for (std::size_t part = 0; part < 3; ++part) {
     const std::size_t lo = part * third;
     const std::size_t hi = part == 2 ? updates.size() : lo + third;
     std::vector<graph::EdgeUpdate> batch(updates.begin() + lo,
                                          updates.begin() + hi);
-    ASSERT_TRUE(
-        dense_engine.ApplyBatch(batch, &g_dense, &q_dense, &s_dense).ok());
-    ASSERT_TRUE(
-        store_engine.ApplyBatch(batch, &g_store, &q_store, &s_store).ok());
-    pinned.push_back(s_store.Publish());
-    ASSERT_TRUE(BitwiseEqual(s_dense, s_store.ToDense()))
+    ASSERT_TRUE(cow->ApplyBatchCoalesced(batch).ok());
+    ASSERT_TRUE(in_place->ApplyBatchCoalesced(batch).ok());
+    pinned.push_back(cow->mutable_score_store()->Publish());
+    ASSERT_TRUE(BitwiseEqual(cow->scores().ToDense(),
+                             in_place->scores().ToDense()))
         << "divergence after batch " << part;
+    EXPECT_EQ(cow->last_batch_stats().a_sizes,
+              in_place->last_batch_stats().a_sizes);
   }
-  EXPECT_EQ(dense_engine.last_group_count(), store_engine.last_group_count());
+  EXPECT_GT(cow->scores().stats().rows_copied, 0u);
+  EXPECT_EQ(in_place->scores().stats().rows_copied, 0u);
 }
 
-TEST(ScoreStoreEngineEquivalence, DynamicSimRankMatchesDenseReference) {
-  // End-to-end: the ScoreStore-backed index (with publishes interleaved)
-  // stays bitwise identical to a dense-matrix replica driven by the same
-  // engine, for every UpdateAlgorithm.
+TEST(ScoreStoreEngineEquivalence, DynamicSimRankMatchesInPlaceReference) {
+  // End-to-end: the index (with publishes interleaved) stays bitwise
+  // identical to a never-published replica driven by the same engine, for
+  // every UpdateAlgorithm.
   auto stream_seed = graph::ErdosRenyiGnm(16, 44, 31);
   ASSERT_TRUE(stream_seed.ok());
   auto graph = graph::MaterializeGraph(16, stream_seed.value());
@@ -282,7 +303,7 @@ TEST(ScoreStoreEngineEquivalence, DynamicSimRankMatchesDenseReference) {
     auto index = core::DynamicSimRank::Create(graph, EngineOptions(),
                                               algorithm);
     ASSERT_TRUE(index.ok());
-    DenseMatrix s_ref = index->scores().ToDense();
+    ScoreStore s_ref{index->scores().ToDense()};
     graph::DynamicDiGraph g_ref = graph;
     la::DynamicRowMatrix q_ref = graph::BuildTransition(g_ref);
     core::IncSrEngine ref_engine(index->options());
@@ -299,7 +320,7 @@ TEST(ScoreStoreEngineEquivalence, DynamicSimRankMatchesDenseReference) {
                                             &q_ref, &s_ref)
                         .ok());
       }
-      ASSERT_TRUE(BitwiseEqual(index->scores().ToDense(), s_ref));
+      ASSERT_TRUE(BitwiseEqual(index->scores().ToDense(), s_ref.ToDense()));
     }
   }
 }

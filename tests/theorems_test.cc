@@ -150,7 +150,8 @@ TEST(Theorems23, SeedReproducesTMatrix) {
   // and the dense seed's θ must satisfy u·wᵀ = e_j·θᵀ.
   DynamicDiGraph g = RandomGraph(14, 40, 77);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::DenseMatrix s = simrank::BatchMatrix(g, options);  // brute-force copy
+  la::ScoreStore store{s};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   Rng rng(78);
@@ -165,7 +166,7 @@ TEST(Theorems23, SeedReproducesTMatrix) {
       ASSERT_TRUE(ins.ok());
       update = ins.value()[0];
     }
-    auto seed = ComputeUpdateSeed(q, s, update, options);
+    auto seed = ComputeUpdateSeed(q, store, update, options);
     ASSERT_TRUE(seed.ok()) << graph::ToString(update);
 
     // Brute-force w from the definitions.
@@ -190,15 +191,18 @@ TEST(Theorems23, DeltaSolvesRankOneSylvesterEquation) {
   //   ΔS = C·Q̃·ΔS·Q̃ᵀ + C·(u·wᵀ + w·uᵀ).
   DynamicDiGraph g = RandomGraph(10, 24, 55);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::DenseMatrix s = simrank::BatchMatrix(g, options);  // brute-force copy
+  la::ScoreStore store{s};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   EdgeUpdate update{UpdateKind::kInsert, 1, 0};
   if (g.HasEdge(1, 0)) update = {UpdateKind::kDelete, 1, 0};
 
-  auto seed = ComputeUpdateSeed(q, s, update, options);
+  auto seed = ComputeUpdateSeed(q, store, update, options);
   ASSERT_TRUE(seed.ok());
-  auto delta = IncUsrDelta(q, s, update, options);
-  ASSERT_TRUE(delta.ok());
+  auto m = IncUsrAuxiliaryM(q, store, update, options);
+  ASSERT_TRUE(m.ok());
+  la::DenseMatrix delta = m->Transpose();  // ΔS = M_K + M_Kᵀ
+  delta.AddScaled(1.0, m.value());
 
   // Build Q̃ and T densely.
   DynamicDiGraph g_new = g;
@@ -213,12 +217,12 @@ TEST(Theorems23, DeltaSolvesRankOneSylvesterEquation) {
   la::Vector w = q.Multiply(z);
   w.Axpy(seed->gamma / 2.0, u);
 
-  la::DenseMatrix rhs = la::Multiply(
-      la::Multiply(q_new, delta.value()), q_new.Transpose());
+  la::DenseMatrix rhs =
+      la::Multiply(la::Multiply(q_new, delta), q_new.Transpose());
   rhs.Scale(options.damping);
   rhs.AddOuterProduct(options.damping, u, w);
   rhs.AddOuterProduct(options.damping, w, u);
-  EXPECT_LT(la::MaxAbsDiff(delta.value(), rhs), 1e-9);
+  EXPECT_LT(la::MaxAbsDiff(delta, rhs), 1e-9);
 }
 
 TEST(Theorem4, UntouchedPairsAreExactlyUnchanged) {
@@ -234,8 +238,8 @@ TEST(Theorem4, UntouchedPairsAreExactlyUnchanged) {
     INCSR_CHECK(g.AddEdge(s, d).ok(), "edge");
   }
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
-  la::DenseMatrix s_before = s;
+  la::DenseMatrix s_before = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{s_before};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
 
@@ -267,10 +271,9 @@ TEST(Theorem4, AffectedAreaShrinksWithLocality) {
   DynamicDiGraph g = graph::MaterializeGraph(60, stream.value());
   SimRankOptions options;
   options.iterations = 10;
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s_work{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
-  la::DenseMatrix s_work = s;
   Rng rng(4);
   auto insertion = graph::SampleInsertions(g, 1, &rng);
   ASSERT_TRUE(insertion.ok());
@@ -284,7 +287,7 @@ TEST(Theorem4, AffectedAreaShrinksWithLocality) {
 TEST(UpdateSeed, InvalidUpdatesAreRejectedWithContext) {
   DynamicDiGraph g = RandomGraph(8, 16, 21);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   auto edges = g.Edges();
@@ -306,7 +309,7 @@ TEST(UpdateSeed, InvalidUpdatesAreRejectedWithContext) {
 TEST(SelfLoops, IncrementalHandlesSelfLoopInsertion) {
   DynamicDiGraph g = RandomGraph(8, 18, 31);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   ASSERT_FALSE(g.HasEdge(3, 3));
   ASSERT_TRUE(
