@@ -41,6 +41,7 @@
 #include "net/socket.h"          // IWYU pragma: export
 #include "net/wire.h"            // IWYU pragma: export
 #include "obs/histogram.h"       // IWYU pragma: export
+#include "obs/stats_schema.h"    // IWYU pragma: export
 #include "obs/trace.h"           // IWYU pragma: export
 #include "obs/trace_analysis.h"  // IWYU pragma: export
 #include "service/query_cache.h"     // IWYU pragma: export

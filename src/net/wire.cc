@@ -1,6 +1,11 @@
 #include "net/wire.h"
 
+#include <concepts>
+#include <limits>
+#include <map>
+
 #include "obs/histogram.h"
+#include "obs/stats_schema.h"
 
 namespace incsr::net::wire {
 
@@ -384,7 +389,7 @@ bool SuggestResponse::DecodeBody(std::string_view body, SuggestResponse* out) {
 
 namespace {
 
-// Sparse histogram encoding (wire v4): sum, min, max, then only the
+// Sparse histogram encoding: sum, min, max, then only the
 // non-zero buckets as (u8 index, u64 count) pairs in strictly increasing
 // index order. `count` is not sent — the snapshot invariant count ==
 // Σ buckets makes it derivable, and deriving it keeps the two from ever
@@ -429,95 +434,94 @@ bool DecodeHistogram(Reader* reader, obs::HistogramSnapshot* out) {
   return true;
 }
 
+// One stats field payload per leaf kind.
+template <std::unsigned_integral T>
+void EncodeStatValue(Writer* writer, T value) {
+  writer->U64(value);
+}
+void EncodeStatValue(Writer* writer, double value) { writer->F64(value); }
+void EncodeStatValue(Writer* writer, const obs::HistogramSnapshot& value) {
+  EncodeHistogram(writer, value);
+}
+
+template <std::unsigned_integral T>
+bool DecodeStatValue(Reader* reader, T* value) {
+  std::uint64_t raw = 0;
+  if (!reader->U64(&raw) || raw > std::numeric_limits<T>::max()) return false;
+  *value = static_cast<T>(raw);
+  return true;
+}
+bool DecodeStatValue(Reader* reader, double* value) {
+  return reader->F64(value);
+}
+bool DecodeStatValue(Reader* reader, obs::HistogramSnapshot* value) {
+  return DecodeHistogram(reader, value);
+}
+
+// Smallest encoded field: name length byte + payload length.
+constexpr std::size_t kMinStatsFieldBytes = 1 + 4;
+
 }  // namespace
 
 void StatsResponse::EncodeBody(std::string* out) const {
   Writer writer(out);
   writer.U8(static_cast<std::uint8_t>(status));
-  writer.U64(stats.epoch);
-  writer.U64(stats.submitted);
-  writer.U64(stats.applied);
-  writer.U64(stats.rejected);
-  writer.U64(stats.failed);
-  writer.U64(stats.batches);
-  writer.U64(stats.queue_depth);
-  writer.U64(stats.rows_published);
-  writer.U64(stats.bytes_published);
-  writer.U64(stats.topk_index_served);
-  writer.U64(stats.topk_index_fallbacks);
-  writer.U64(stats.topk_index_rows_reranked);
-  writer.U64(stats.topk_pairs_served);
-  writer.U64(stats.topk_pairs_fallbacks);
-  writer.U64(stats.cache.hits);
-  writer.U64(stats.cache.misses);
-  writer.U64(stats.cache.invalidations);
-  writer.U64(stats.cache.evictions);
-  writer.U64(stats.cache.stale_inserts);
   writer.U64(num_nodes);
   writer.U64(num_edges);
   writer.U8(is_replica ? 1 : 0);
-  // v3 tail: tiered storage, graph COW, adaptive top-k capacities. New
-  // fields append strictly at the end so a frame's layout is a function
-  // of its version alone.
-  writer.U64(stats.rows_sparse);
-  writer.U64(stats.rows_dense);
-  writer.U64(stats.bytes_saved);
-  writer.U64(stats.sparse_eps_drops);
-  writer.F64(stats.sparse_max_error_bound);
-  writer.U64(stats.tier_demotions);
-  writer.U64(stats.tier_promotions);
-  writer.U64(stats.graph_bytes_copied);
-  writer.U64(stats.topk_cap_grows);
-  writer.U64(stats.topk_cap_shrinks);
-  // v4 tail: server-side latency histograms.
-  EncodeHistogram(&writer, stats.queue_wait_ns);
-  EncodeHistogram(&writer, stats.apply_ns);
-  // v5 tail: sparse-native write-path counters.
-  writer.U64(stats.rows_spilled_dense);
-  writer.U64(stats.sparse_write_merges);
+  std::string fields;
+  Writer field_writer(&fields);
+  std::uint32_t count = 0;
+  obs::VisitLeaves(stats, [&](const std::string& name, const obs::StatField&,
+                              const auto& value) {
+    std::string payload;
+    Writer payload_writer(&payload);
+    EncodeStatValue(&payload_writer, value);
+    field_writer.U8(static_cast<std::uint8_t>(name.size()));
+    field_writer.Bytes(name);
+    field_writer.Str(payload);
+    ++count;
+  });
+  writer.U32(count);
+  writer.Bytes(fields);
 }
 
 bool StatsResponse::DecodeBody(std::string_view body, StatsResponse* out) {
   Reader reader(body);
-  std::uint64_t queue_depth;
-  std::uint8_t is_replica;
-  const bool ok =
-      DecodeRpcStatus(&reader, &out->status) && reader.U64(&out->stats.epoch) &&
-      reader.U64(&out->stats.submitted) && reader.U64(&out->stats.applied) &&
-      reader.U64(&out->stats.rejected) && reader.U64(&out->stats.failed) &&
-      reader.U64(&out->stats.batches) && reader.U64(&queue_depth) &&
-      reader.U64(&out->stats.rows_published) &&
-      reader.U64(&out->stats.bytes_published) &&
-      reader.U64(&out->stats.topk_index_served) &&
-      reader.U64(&out->stats.topk_index_fallbacks) &&
-      reader.U64(&out->stats.topk_index_rows_reranked) &&
-      reader.U64(&out->stats.topk_pairs_served) &&
-      reader.U64(&out->stats.topk_pairs_fallbacks) &&
-      reader.U64(&out->stats.cache.hits) &&
-      reader.U64(&out->stats.cache.misses) &&
-      reader.U64(&out->stats.cache.invalidations) &&
-      reader.U64(&out->stats.cache.evictions) &&
-      reader.U64(&out->stats.cache.stale_inserts) &&
-      reader.U64(&out->num_nodes) && reader.U64(&out->num_edges) &&
-      reader.U8(&is_replica) && is_replica <= 1 &&
-      reader.U64(&out->stats.rows_sparse) &&
-      reader.U64(&out->stats.rows_dense) &&
-      reader.U64(&out->stats.bytes_saved) &&
-      reader.U64(&out->stats.sparse_eps_drops) &&
-      reader.F64(&out->stats.sparse_max_error_bound) &&
-      reader.U64(&out->stats.tier_demotions) &&
-      reader.U64(&out->stats.tier_promotions) &&
-      reader.U64(&out->stats.graph_bytes_copied) &&
-      reader.U64(&out->stats.topk_cap_grows) &&
-      reader.U64(&out->stats.topk_cap_shrinks) &&
-      DecodeHistogram(&reader, &out->stats.queue_wait_ns) &&
-      DecodeHistogram(&reader, &out->stats.apply_ns) &&
-      reader.U64(&out->stats.rows_spilled_dense) &&
-      reader.U64(&out->stats.sparse_write_merges) && reader.Complete();
-  if (!ok) return false;
-  out->stats.queue_depth = static_cast<std::size_t>(queue_depth);
+  std::uint8_t is_replica = 0;
+  std::uint32_t count = 0;
+  if (!DecodeRpcStatus(&reader, &out->status) || !reader.U64(&out->num_nodes) ||
+      !reader.U64(&out->num_edges) || !reader.U8(&is_replica) ||
+      is_replica > 1 || !reader.U32(&count) || count > kMaxStatsFields ||
+      count > reader.Remaining() / kMinStatsFieldBytes) {
+    return false;
+  }
   out->is_replica = is_replica == 1;
-  return true;
+  std::map<std::string_view, std::string_view> fields;  // name -> payload
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint8_t name_size = 0;
+    std::string_view name;
+    std::uint32_t payload_size = 0;
+    std::string_view payload;
+    if (!reader.U8(&name_size) || !reader.Bytes(name_size, &name) ||
+        !reader.U32(&payload_size) || !reader.Bytes(payload_size, &payload) ||
+        !fields.emplace(name, payload).second) {
+      return false;
+    }
+  }
+  if (!reader.Complete()) return false;
+  // Known fields decode by name; names this build does not know are
+  // skipped, and fields the sender did not know stay zero.
+  out->stats = {};
+  bool ok = true;
+  obs::VisitLeaves(out->stats, [&](const std::string& name,
+                                   const obs::StatField&, auto& value) {
+    const auto it = fields.find(name);
+    if (it == fields.end()) return;
+    Reader payload(it->second);
+    ok = ok && DecodeStatValue(&payload, &value) && payload.Complete();
+  });
+  return ok;
 }
 
 // ---- Flush -----------------------------------------------------------------

@@ -38,20 +38,9 @@
 namespace incsr::net::wire {
 
 /// Protocol version carried in every frame; peers reject mismatches.
-/// v2: StatsResponse carries the pair-merge counters
-/// (topk_pairs_served / topk_pairs_fallbacks).
-/// v3: StatsResponse carries the tiered-storage block (rows_sparse /
-/// rows_dense / bytes_saved / sparse_eps_drops / sparse_max_error_bound /
-/// tier_demotions / tier_promotions), graph_bytes_copied, and the
-/// adaptive top-k capacity counters (topk_cap_grows / topk_cap_shrinks).
-/// v4: StatsResponse carries the server-side latency histograms
-/// (queue_wait_ns / apply_ns, obs::HistogramSnapshot) sparsely encoded:
-/// sum, min, max, then only the non-zero buckets as (u8 index, u64
-/// count) pairs with strictly increasing indices; `count` is derived on
-/// decode as the bucket sum. Shard aggregators merge these bucket-wise.
-/// v5: StatsResponse carries the sparse-native write-path counters
-/// (rows_spilled_dense / sparse_write_merges).
-inline constexpr std::uint8_t kWireVersion = 5;
+/// v6: StatsResponse carries its counters as a tagged field list (see
+/// StatsResponse), so a new counter needs no version bump.
+inline constexpr std::uint8_t kWireVersion = 6;
 /// Bytes of the length prefix.
 inline constexpr std::size_t kFramePrefixBytes = 4;
 /// Maximum frame payload (version + tag + body) a peer may announce.
@@ -127,8 +116,9 @@ class Writer {
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
   void Str(std::string_view v) {
     U32(static_cast<std::uint32_t>(v.size()));
-    out_->append(v.data(), v.size());
+    Bytes(v);
   }
+  void Bytes(std::string_view v) { out_->append(v.data(), v.size()); }
 
  private:
   // The repo targets little-endian hosts (x86-64/aarch64); a big-endian
@@ -160,10 +150,16 @@ class Reader {
   }
   bool Str(std::string* v) {
     std::uint32_t len;
-    if (!U32(&len)) return false;
-    if (len > Remaining()) return Fail();
-    v->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
+    std::string_view bytes;
+    if (!U32(&len) || !Bytes(len, &bytes)) return false;
+    v->assign(bytes);
+    return true;
+  }
+  /// The next `n` bytes, as a view into the body.
+  bool Bytes(std::size_t n, std::string_view* v) {
+    if (n > Remaining()) return Fail();
+    *v = std::string_view(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
     return true;
   }
 
@@ -311,7 +307,15 @@ struct SuggestResponse {
 };
 
 /// kStatsResponse: the service's ServiceStats plus serving-tier facts the
-/// client needs (graph shape, replica role and applied sequence).
+/// client needs (graph shape, replica role). The body is a fixed header —
+/// status, num_nodes, num_edges, is_replica — then a u32 field count and
+/// one tagged field per ServiceStats table leaf (obs/stats_schema.h): the
+/// name (u8 length + bytes), a u32 payload length, and the payload (a
+/// u64, an f64, or a sparse histogram). The decoder skips unknown names
+/// and leaves absent fields at zero; it rejects a repeated name, a known
+/// name whose payload does not decode to exactly its kind, and more than
+/// kMaxStatsFields fields or fields than bytes left.
+inline constexpr std::uint32_t kMaxStatsFields = 1024;
 struct StatsResponse {
   RpcStatus status = RpcStatus::kOk;
   service::ServiceStats stats;

@@ -10,8 +10,8 @@
 // number of threads, cheap enough for the serve path. HistogramSnapshot
 // is the plain-data copy that travels: through ServiceStats, the shard
 // aggregator's field-wise `+=` (histograms MERGE by bucket-wise addition,
-// which is exact — no resampling error), and the wire v4 StatsResponse
-// tail (src/net/wire.cc encodes the non-zero buckets sparsely).
+// which is exact — no resampling error), and the StatsResponse field
+// list (src/net/wire.cc encodes the non-zero buckets sparsely).
 #ifndef INCSR_OBS_HISTOGRAM_H_
 #define INCSR_OBS_HISTOGRAM_H_
 

@@ -25,30 +25,24 @@
 
 #include "core/dynamic_simrank.h"
 #include "graph/digraph.h"
+#include "obs/stats_schema.h"
 
 namespace incsr::service {
 
-/// Counter snapshot of cache effectiveness.
-struct QueryCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  /// Entries erased selectively by touched-node invalidation.
-  std::uint64_t invalidations = 0;
-  /// Entries erased by LRU capacity pressure.
-  std::uint64_t evictions = 0;
-  /// Inserts dropped because a newer epoch was published mid-compute.
-  std::uint64_t stale_inserts = 0;
+/// Counter snapshot of cache effectiveness (obs/stats_schema.h table).
+#define INCSR_QUERY_CACHE_STATS(X)                                          \
+  X(hits, std::uint64_t, kSum, "lookups", "lookups answered from the cache") \
+  X(misses, std::uint64_t, kSum, "lookups",                                 \
+    "lookups that computed their answer")                                  \
+  X(invalidations, std::uint64_t, kSum, "entries",                          \
+    "entries erased by touched-row invalidation")                          \
+  X(evictions, std::uint64_t, kSum, "entries",                              \
+    "entries erased by LRU capacity pressure")                             \
+  X(stale_inserts, std::uint64_t, kSum, "entries",                          \
+    "inserts dropped because a newer epoch was published mid-compute")
 
-  /// Field-wise sum — the sharded layer aggregates per-shard counters.
-  /// Keep in sync with the fields above (new counters belong here too).
-  QueryCacheStats& operator+=(const QueryCacheStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    invalidations += other.invalidations;
-    evictions += other.evictions;
-    stale_inserts += other.stale_inserts;
-    return *this;
-  }
+struct QueryCacheStats {
+  INCSR_STATS_TABLE(QueryCacheStats, INCSR_QUERY_CACHE_STATS)
 };
 
 /// LRU cache of TopKFor results (plus a single memoized TopKPairs entry),

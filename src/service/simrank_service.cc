@@ -67,9 +67,7 @@ SimRankService::SimRankService(core::DynamicSimRank index,
   // epoch re-ranks only the rows its batch touched.
   topk_index_.RebuildAll(index_.scores());
   initial->topk = topk_index_.Publish();
-  topk_rows_reranked_.store(topk_index_.rows_reranked(),
-                            std::memory_order_relaxed);
-  MirrorStorageCounters();
+  CaptureStats(initial.get());
   snapshot_ = std::move(initial);
   // A replica has no ingest pipeline: its state advances only through
   // ApplyReplicated, synchronously on the replication stream's thread.
@@ -91,14 +89,14 @@ Status SimRankService::Submit(const graph::EdgeUpdate& update) {
   }
   if (queue_.size() >= options_.queue_capacity) {
     if (options_.backpressure == BackpressurePolicy::kReject) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
+      ++rejected_;
       return Status::ResourceExhausted("ingest queue full");
     }
     queue_not_full_.wait(lock, [this] {
       return stopping_ || queue_.size() < options_.queue_capacity;
     });
     if (stopping_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
+      ++rejected_;
       return Status::FailedPrecondition("SimRankService stopped while waiting");
     }
   }
@@ -247,44 +245,20 @@ std::vector<core::ScoredPair> SimRankService::TopKPairs(std::size_t k) const {
 }
 
 ServiceStats SimRankService::stats() const {
-  ServiceStats out;
+  // The applier's counters as of the latest publish, then the fields
+  // other threads write.
+  ServiceStats out = Snapshot()->stats;
   {
     std::lock_guard<std::mutex> lock(mu_);
     out.submitted = accepted_;
+    out.rejected = rejected_;
     out.queue_depth = queue_.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    out.epoch = snapshot_->epoch;
-  }
-  out.applied = applied_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.failed = failed_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.rows_published = rows_published_.load(std::memory_order_relaxed);
-  out.bytes_published = bytes_published_.load(std::memory_order_relaxed);
   out.topk_index_served = topk_served_.load(std::memory_order_relaxed);
   out.topk_index_fallbacks = topk_fallbacks_.load(std::memory_order_relaxed);
-  out.topk_index_rows_reranked =
-      topk_rows_reranked_.load(std::memory_order_relaxed);
   out.topk_pairs_served = topk_pairs_served_.load(std::memory_order_relaxed);
   out.topk_pairs_fallbacks =
       topk_pairs_fallbacks_.load(std::memory_order_relaxed);
-  out.rows_sparse = rows_sparse_.load(std::memory_order_relaxed);
-  out.rows_dense = rows_dense_.load(std::memory_order_relaxed);
-  out.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
-  out.sparse_eps_drops = sparse_eps_drops_.load(std::memory_order_relaxed);
-  out.sparse_max_error_bound =
-      sparse_max_error_bound_.load(std::memory_order_relaxed);
-  out.tier_demotions = tier_demotions_.load(std::memory_order_relaxed);
-  out.tier_promotions = tier_promotions_.load(std::memory_order_relaxed);
-  out.rows_spilled_dense =
-      rows_spilled_dense_.load(std::memory_order_relaxed);
-  out.sparse_write_merges =
-      sparse_write_merges_.load(std::memory_order_relaxed);
-  out.graph_bytes_copied = graph_bytes_copied_.load(std::memory_order_relaxed);
-  out.topk_cap_grows = topk_cap_grows_.load(std::memory_order_relaxed);
-  out.topk_cap_shrinks = topk_cap_shrinks_.load(std::memory_order_relaxed);
   out.queue_wait_ns = queue_wait_hist_.snapshot();
   out.apply_ns = apply_hist_.snapshot();
   out.cache = cache_.stats();
@@ -352,7 +326,7 @@ void SimRankService::ApplyAndPublish(
     const graph::DynamicDiGraph& current = index_.graph();
     for (const graph::EdgeUpdate& update : batch) {
       if (!current.HasNode(update.src) || !current.HasNode(update.dst)) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
+        ++applier_stats_.failed;
         continue;
       }
       const std::uint64_t key = graph::EdgeKey(update.src, update.dst);
@@ -362,7 +336,7 @@ void SimRankService::ApplyAndPublish(
                                : current.HasEdge(update.src, update.dst);
       const bool want_insert = update.kind == graph::UpdateKind::kInsert;
       if (present == want_insert) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
+        ++applier_stats_.failed;
         continue;
       }
       overlay[key] = want_insert;
@@ -377,7 +351,7 @@ void SimRankService::ApplyAndPublish(
             ? index_.ApplyBatchCoalesced(valid)
             : index_.ApplyBatch(valid);
     if (applied.ok()) {
-      applied_.fetch_add(valid.size(), std::memory_order_relaxed);
+      applier_stats_.applied += valid.size();
     } else {
       // Should be unreachable after pre-validation; recover by re-driving
       // the batch unit-by-unit (idempotent per edge: an update the
@@ -385,16 +359,15 @@ void SimRankService::ApplyAndPublish(
       // skipped). The store's touched-row record spans every write of the
       // recovery too, so Publish() below stays exact.
       for (const graph::EdgeUpdate& update : valid) {
-        Status unit = index_.ApplyUpdate(update);
-        if (unit.ok()) {
-          applied_.fetch_add(1, std::memory_order_relaxed);
+        if (index_.ApplyUpdate(update).ok()) {
+          ++applier_stats_.applied;
         } else {
-          failed_.fetch_add(1, std::memory_order_relaxed);
+          ++applier_stats_.failed;
         }
       }
     }
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  ++applier_stats_.batches;
   const std::uint64_t epoch = Publish();
   apply_hist_.Record(obs::Tracer::NowNs() - apply_start_ns);
   TRACE_INSTANT(kEpochPublished, epoch, valid.size());
@@ -460,15 +433,14 @@ std::uint64_t SimRankService::Publish() {
       topk_index_.RebuildRows(index_.scores(), touched);
     }
     next->topk = topk_index_.Publish();
-    topk_rows_reranked_.store(topk_index_.rows_reranked(),
-                              std::memory_order_relaxed);
   }
-  MirrorStorageCounters();
-  std::uint64_t epoch;
+  // Only this thread publishes, so the epoch sequence is applier-private.
+  const std::uint64_t epoch = applier_stats_.epoch + 1;
+  applier_stats_.epoch = epoch;
+  next->epoch = epoch;
+  CaptureStats(next.get());
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    epoch = snapshot_->epoch + 1;
-    next->epoch = epoch;
     snapshot_ = std::move(next);
   }
   // Invalidate after the swap: a reader that cached from the outgoing
@@ -505,7 +477,7 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
       keep_cols_.push_back(item.b);
     }
     if (store->SparsifyRow(row, keep_cols_)) {
-      tier_demotions_.fetch_add(1, std::memory_order_relaxed);
+      ++applier_stats_.tier_demotions;
     }
   };
   if (all_touched) {
@@ -534,7 +506,7 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
       if (sketch_.Count(static_cast<graph::NodeId>(row)) >=
               policy.promote_reads &&
           store->DensifyRow(row)) {
-        tier_promotions_.fetch_add(1, std::memory_order_relaxed);
+        ++applier_stats_.tier_promotions;
       }
     } else {
       consider_demote(row);
@@ -559,7 +531,7 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     if (row >= n) continue;
     const std::size_t current = topk_index_.NodeCapacity(row);
     if (topk_index_.SetNodeCapacity(row, current * 2) > current) {
-      topk_cap_grows_.fetch_add(1, std::memory_order_relaxed);
+      ++applier_stats_.topk_cap_grows;
       rerank->push_back(static_cast<std::int32_t>(row));
     }
   }
@@ -581,7 +553,7 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     }
     const std::size_t target = std::max(topk_index_.capacity(), current / 2);
     if (topk_index_.SetNodeCapacity(row, target) < current) {
-      topk_cap_shrinks_.fetch_add(1, std::memory_order_relaxed);
+      ++applier_stats_.topk_cap_shrinks;
     }
   }
   last_grown_.assign(
@@ -590,24 +562,22 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
   std::sort(last_grown_.begin(), last_grown_.end());
 }
 
-void SimRankService::MirrorStorageCounters() {
+void SimRankService::CaptureStats(EpochSnapshot* next) {
   const la::ScoreStore& store = index_.scores();
-  const la::ScoreStoreStats& stats = store.stats();
-  rows_published_.store(stats.rows_copied, std::memory_order_relaxed);
-  bytes_published_.store(stats.bytes_copied, std::memory_order_relaxed);
-  rows_sparse_.store(stats.rows_sparse, std::memory_order_relaxed);
-  rows_dense_.store(store.rows() - stats.rows_sparse,
-                    std::memory_order_relaxed);
-  bytes_saved_.store(store.bytes_saved(), std::memory_order_relaxed);
-  sparse_eps_drops_.store(stats.eps_drops, std::memory_order_relaxed);
-  sparse_max_error_bound_.store(stats.max_error_bound,
-                                std::memory_order_relaxed);
-  rows_spilled_dense_.store(stats.rows_spilled_dense,
-                            std::memory_order_relaxed);
-  sparse_write_merges_.store(stats.sparse_write_merges,
-                             std::memory_order_relaxed);
-  graph_bytes_copied_.store(index_.graph().cow_bytes_copied(),
-                            std::memory_order_relaxed);
+  const la::ScoreStoreStats& store_stats = store.stats();
+  ServiceStats& out = applier_stats_;
+  out.rows_published = store_stats.rows_copied;
+  out.bytes_published = store_stats.bytes_copied;
+  out.rows_sparse = store_stats.rows_sparse;
+  out.rows_dense = store.rows() - store_stats.rows_sparse;
+  out.bytes_saved = store.bytes_saved();
+  out.sparse_eps_drops = store_stats.eps_drops;
+  out.sparse_max_error_bound = store_stats.max_error_bound;
+  out.rows_spilled_dense = store_stats.rows_spilled_dense;
+  out.sparse_write_merges = store_stats.sparse_write_merges;
+  out.graph_bytes_copied = index_.graph().cow_bytes_copied();
+  out.topk_index_rows_reranked = topk_index_.rows_reranked();
+  next->stats = out;
 }
 
 }  // namespace incsr::service

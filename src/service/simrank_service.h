@@ -42,7 +42,6 @@
 #ifndef INCSR_SERVICE_SIMRANK_SERVICE_H_
 #define INCSR_SERVICE_SIMRANK_SERVICE_H_
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <condition_variable>
@@ -60,6 +59,7 @@
 #include "graph/update_stream.h"
 #include "la/score_store.h"
 #include "obs/histogram.h"
+#include "obs/stats_schema.h"
 #include "service/query_cache.h"
 #include "service/topk_index.h"
 
@@ -171,6 +171,82 @@ class TrafficSketch {
       slots_{};
 };
 
+/// Counter snapshot of service activity, declared as one field table
+/// (obs/stats_schema.h). The table order is also the wire order of the
+/// StatsResponse field list; a hostile-input test in net_wire_test finds
+/// queue_wait_ns by its offset from the end of the body, so queue_wait_ns,
+/// queue_depth and batches stay the last three rows. Everything the
+/// applier writes is counted in an applier-private copy that each publish
+/// freezes into its EpochSnapshot; stats() overlays the reader- and
+/// submitter-side fields.
+///
+/// Top-k index fields are all zero when topk_index_capacity = 0 (and the
+/// capacity moves unless adaptive_topk_index); every TopKFor cache miss
+/// is either index-served or a fallback. rows_published / applied is the
+/// publish amplification (a full-copy snapshot would pay n rows per
+/// batch). The tiered-storage fields stay zero while SparsityPolicy is
+/// disabled; tier_demotions / tier_promotions count publish-time policy
+/// moves, while write-path densification is rows_spilled_dense. The two
+/// histograms merge bucket-wise across shards.
+#define INCSR_SERVICE_STATS(X)                                              \
+  X(epoch, std::uint64_t, kMax, "",                                         \
+    "sequence number of the published snapshot")                           \
+  X(topk_index_served, std::uint64_t, kSum, "queries",                      \
+    "TopKFor misses answered from the per-node index in O(k)")             \
+  X(topk_index_fallbacks, std::uint64_t, kSum, "queries",                   \
+    "TopKFor misses that fell back to the O(n) row scan")                  \
+  X(topk_index_rows_reranked, std::uint64_t, kSum, "rows",                  \
+    "per-node index entries re-ranked at publish time")                    \
+  X(topk_pairs_served, std::uint64_t, kSum, "queries",                      \
+    "TopKPairs misses answered by the k-way merge over the index")         \
+  X(topk_pairs_fallbacks, std::uint64_t, kSum, "queries",                   \
+    "TopKPairs misses that fell back to the O(n^2) pair scan")             \
+  X(topk_cap_grows, std::uint64_t, kSum, "nodes",                           \
+    "adaptive index capacity doublings")                                   \
+  X(topk_cap_shrinks, std::uint64_t, kSum, "nodes",                         \
+    "adaptive index capacity decays")                                      \
+  X(rows_published, std::uint64_t, kSum, "rows",                            \
+    "score rows copy-on-written to keep snapshots immutable")              \
+  X(bytes_published, std::uint64_t, kSum, "bytes",                          \
+    "score bytes copy-on-written to keep snapshots immutable")             \
+  X(graph_bytes_copied, std::uint64_t, kSum, "bytes",                       \
+    "adjacency bytes copy-on-written by graph snapshots")                  \
+  X(rows_sparse, std::uint64_t, kGauge, "rows",                             \
+    "score rows currently in the sparse tier")                             \
+  X(rows_dense, std::uint64_t, kGauge, "rows",                              \
+    "score rows currently dense")                                          \
+  X(bytes_saved, std::uint64_t, kGauge, "bytes",                            \
+    "dense footprint the sparse rows shed right now")                      \
+  X(sparse_eps_drops, std::uint64_t, kSum, "entries",                       \
+    "entries below epsilon dropped by sparsification")                     \
+  X(sparse_max_error_bound, double, kMax, "score",                          \
+    "upper bound on |served - exact| score")                               \
+  X(tier_demotions, std::uint64_t, kSum, "rows",                            \
+    "publish-time dense-to-sparse moves")                                  \
+  X(tier_promotions, std::uint64_t, kSum, "rows",                           \
+    "publish-time sparse-to-dense moves")                                  \
+  X(rows_spilled_dense, std::uint64_t, kSum, "rows",                        \
+    "sparse rows the write path densified")                                \
+  X(sparse_write_merges, std::uint64_t, kSum, "rows",                       \
+    "batch writes committed as an in-tier sparse merge")                   \
+  X(cache, QueryCacheStats, kSum, "", "query cache")                        \
+  X(submitted, std::uint64_t, kSum, "updates",                              \
+    "updates accepted into the ingest queue")                              \
+  X(rejected, std::uint64_t, kSum, "updates",                               \
+    "updates refused by backpressure")                                     \
+  X(failed, std::uint64_t, kSum, "updates", "updates skipped as invalid")   \
+  X(applied, std::uint64_t, kSum, "updates", "updates applied to the index") \
+  X(apply_ns, obs::HistogramSnapshot, kHistogram, "ns",                     \
+    "per-batch apply and publish wall time")                               \
+  X(queue_wait_ns, obs::HistogramSnapshot, kHistogram, "ns",                \
+    "per-update wait from Submit to the applier draining it")              \
+  X(queue_depth, std::size_t, kGauge, "updates", "updates currently queued") \
+  X(batches, std::uint64_t, kSum, "batches", "apply/publish cycles")
+
+struct ServiceStats {
+  INCSR_STATS_TABLE(ServiceStats, INCSR_SERVICE_STATS)
+};
+
 /// Immutable published state; readers hold it via shared_ptr, so a pinned
 /// snapshot stays valid (and unchanging) while newer epochs are published.
 /// `scores` is a copy-on-write view: publishing it cost O(rows touched by
@@ -186,122 +262,9 @@ struct EpochSnapshot {
   /// Per-node top-k candidate index of this epoch (empty when disabled);
   /// always consistent with `scores` — both were published together.
   TopKIndex::View topk;
-};
-
-/// Counter snapshot of service activity (all counters are cumulative).
-struct ServiceStats {
-  std::uint64_t epoch = 0;           ///< epoch of the published snapshot
-  std::uint64_t submitted = 0;       ///< updates accepted into the queue
-  std::uint64_t applied = 0;         ///< updates applied to the index
-  std::uint64_t rejected = 0;        ///< updates refused by backpressure
-  std::uint64_t failed = 0;          ///< updates skipped as invalid
-  std::uint64_t batches = 0;         ///< apply/publish cycles
-  std::size_t queue_depth = 0;       ///< updates currently queued
-  /// Cumulative publish cost: score rows (and their bytes) the applier
-  /// copy-on-wrote so snapshots stay immutable. rows_published / applied
-  /// is the publish amplification; the full-copy design this replaces
-  /// paid n rows per batch regardless of the affected area.
-  std::uint64_t rows_published = 0;
-  std::uint64_t bytes_published = 0;
-  /// Top-k index activity: cache misses answered from the per-node index
-  /// (O(k) reads), misses that fell back to a full O(n) row scan because
-  /// the request's k exceeded an incomplete entry, and the cumulative
-  /// per-node entries re-ranked at publish time (the maintenance cost,
-  /// proportional to the touched rows). All zero when the index is
-  /// disabled (topk_index_capacity = 0).
-  std::uint64_t topk_index_served = 0;
-  std::uint64_t topk_index_fallbacks = 0;
-  std::uint64_t topk_index_rows_reranked = 0;
-  /// TopKPairs misses answered by the k-way merge over the per-node
-  /// index (O(n + k log n)) versus misses that fell back to the O(n²)
-  /// pair scan because the merge's soundness bound cut it off before k
-  /// pairs. Both zero when the index is disabled.
-  std::uint64_t topk_pairs_served = 0;
-  std::uint64_t topk_pairs_fallbacks = 0;
-  /// Tiered sparse storage (all zero while SparsityPolicy is disabled).
-  /// rows_sparse / rows_dense are the CURRENT tier mix of the score rows;
-  /// bytes_saved is the dense footprint the sparse rows shed right now;
-  /// sparse_eps_drops counts cumulative lossy (< ε) entry drops;
-  /// sparse_max_error_bound is the store's accumulated upper bound on
-  /// |served − exact| (la::ScoreStoreStats::max_error_bound);
-  /// tier_demotions / tier_promotions count publish-time dense→sparse and
-  /// sparse→dense moves made by the policy (write-path densification is
-  /// not a promotion and is excluded — it is rows_spilled_dense below).
-  std::uint64_t rows_sparse = 0;
-  std::uint64_t rows_dense = 0;
-  std::uint64_t bytes_saved = 0;
-  std::uint64_t sparse_eps_drops = 0;
-  double sparse_max_error_bound = 0.0;
-  std::uint64_t tier_demotions = 0;
-  std::uint64_t tier_promotions = 0;
-  /// Sparse-native write path (la::ScoreStore RowWriter sessions):
-  /// rows_spilled_dense counts sparse rows the WRITE path densified
-  /// (Dense() spills, merges past the max_density gate) — on a
-  /// mostly-sparse store this stays near zero, which is the point;
-  /// sparse_write_merges counts batch writes that committed as an in-tier
-  /// sparse index-merge instead.
-  std::uint64_t rows_spilled_dense = 0;
-  std::uint64_t sparse_write_merges = 0;
-  /// Adjacency bytes copy-on-written so published graph views stay
-  /// byte-stable — the true incremental cost of the per-epoch graph
-  /// snapshot (the design it replaces deep-copied O(n+m) per epoch).
-  std::uint64_t graph_bytes_copied = 0;
-  /// Adaptive top-k index capacity moves (zero unless
-  /// ServiceOptions::adaptive_topk_index).
-  std::uint64_t topk_cap_grows = 0;
-  std::uint64_t topk_cap_shrinks = 0;
-  /// Server-side latency distributions (obs/histogram.h), in nanoseconds.
-  /// queue_wait_ns: per-update time from Submit's enqueue to the applier
-  /// draining it — the ingest backlog the client cannot see from its own
-  /// round-trip timing. apply_ns: per-batch ApplyAndPublish wall time
-  /// (validate + kernels + publish). Both travel through the wire v4
-  /// StatsResponse tail and merge bucket-wise across shards.
-  obs::HistogramSnapshot queue_wait_ns;
-  obs::HistogramSnapshot apply_ns;
-  QueryCacheStats cache;
-
-  /// Aggregation the sharded layer (src/shard/) uses over live and
-  /// retired shards. Counters sum field-wise; `epoch` aggregates as MAX,
-  /// because epochs are independent per-shard sequence numbers whose sum
-  /// is meaningless (per-shard epochs stay visible in
-  /// ShardedStats::per_shard). Keep in sync with the fields above: a new
-  /// counter that is not added here silently vanishes from the sharded
-  /// totals.
-  ServiceStats& operator+=(const ServiceStats& other) {
-    epoch = std::max(epoch, other.epoch);
-    submitted += other.submitted;
-    applied += other.applied;
-    rejected += other.rejected;
-    failed += other.failed;
-    batches += other.batches;
-    queue_depth += other.queue_depth;
-    rows_published += other.rows_published;
-    bytes_published += other.bytes_published;
-    topk_index_served += other.topk_index_served;
-    topk_index_fallbacks += other.topk_index_fallbacks;
-    topk_index_rows_reranked += other.topk_index_rows_reranked;
-    topk_pairs_served += other.topk_pairs_served;
-    topk_pairs_fallbacks += other.topk_pairs_fallbacks;
-    rows_sparse += other.rows_sparse;
-    rows_dense += other.rows_dense;
-    bytes_saved += other.bytes_saved;
-    sparse_eps_drops += other.sparse_eps_drops;
-    // A bound that holds per shard holds for the union at the worst
-    // shard's value — error bounds aggregate as MAX, not sum.
-    sparse_max_error_bound =
-        std::max(sparse_max_error_bound, other.sparse_max_error_bound);
-    tier_demotions += other.tier_demotions;
-    tier_promotions += other.tier_promotions;
-    rows_spilled_dense += other.rows_spilled_dense;
-    sparse_write_merges += other.sparse_write_merges;
-    graph_bytes_copied += other.graph_bytes_copied;
-    topk_cap_grows += other.topk_cap_grows;
-    topk_cap_shrinks += other.topk_cap_shrinks;
-    queue_wait_ns += other.queue_wait_ns;
-    apply_ns += other.apply_ns;
-    cache += other.cache;
-    return *this;
-  }
+  /// The applier's counters as of this epoch (the fields only the applier
+  /// writes; the rest stay zero here — SimRankService::stats() fills them).
+  ServiceStats stats;
 };
 
 /// Observes the applied update stream: called by the applier after every
@@ -429,8 +392,9 @@ class SimRankService {
   /// downstream rebuild) and decays cold grown nodes back to the base
   /// capacity by truncation.
   void AdaptTopKCapacities(std::vector<std::int32_t>* rerank);
-  /// Refreshes the atomic mirrors of store/graph accounting (applier).
-  void MirrorStorageCounters();
+  /// Reads the store's, graph's and index's cumulative accounting into
+  /// applier_stats_ and freezes that into the epoch being published.
+  void CaptureStats(EpochSnapshot* next);
 
   const ServiceOptions options_;
   const bool replica_;
@@ -450,6 +414,7 @@ class SimRankService {
   std::deque<QueuedUpdate> queue_;
   std::uint64_t accepted_ = 0;   // updates ever enqueued
   std::uint64_t published_ = 0;  // updates applied AND visible to readers
+  std::uint64_t rejected_ = 0;   // updates refused by backpressure
   bool stopping_ = false;
 
   mutable std::mutex snapshot_mu_;
@@ -479,37 +444,15 @@ class SimRankService {
   mutable std::mutex grow_mu_;
   mutable std::vector<graph::NodeId> grow_queue_;
 
-  // Cumulative counters (relaxed: read by stats() only).
-  std::atomic<std::uint64_t> applied_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  // Mutable: bumped by the const read path (TopKFor).
+  // Applier-private counters (applier thread, or the serialized
+  // replication caller); each publish copies them into its snapshot.
+  ServiceStats applier_stats_;
+  // Reader-side counters, bumped by the const query path (relaxed: read
+  // by stats() only).
   mutable std::atomic<std::uint64_t> topk_served_{0};
   mutable std::atomic<std::uint64_t> topk_fallbacks_{0};
   mutable std::atomic<std::uint64_t> topk_pairs_served_{0};
   mutable std::atomic<std::uint64_t> topk_pairs_fallbacks_{0};
-  // Mirrors of the score store's COW accounting and the index's re-rank
-  // count, refreshed by the applier at each publish so stats() can read
-  // them from any thread.
-  std::atomic<std::uint64_t> rows_published_{0};
-  std::atomic<std::uint64_t> bytes_published_{0};
-  std::atomic<std::uint64_t> topk_rows_reranked_{0};
-  // Tier/capacity policy counters (applier writes, stats() reads) and
-  // publish-time mirrors of the store's tier gauges and the graph's COW
-  // accounting.
-  std::atomic<std::uint64_t> tier_demotions_{0};
-  std::atomic<std::uint64_t> tier_promotions_{0};
-  std::atomic<std::uint64_t> topk_cap_grows_{0};
-  std::atomic<std::uint64_t> topk_cap_shrinks_{0};
-  std::atomic<std::uint64_t> rows_sparse_{0};
-  std::atomic<std::uint64_t> rows_dense_{0};
-  std::atomic<std::uint64_t> bytes_saved_{0};
-  std::atomic<std::uint64_t> sparse_eps_drops_{0};
-  std::atomic<double> sparse_max_error_bound_{0.0};
-  std::atomic<std::uint64_t> rows_spilled_dense_{0};
-  std::atomic<std::uint64_t> sparse_write_merges_{0};
-  std::atomic<std::uint64_t> graph_bytes_copied_{0};
   // Latency histograms (relaxed atomics inside; applier records, stats()
   // snapshots from any thread). Always on — one bucket fetch_add per
   // sample — independent of whether event tracing is enabled.

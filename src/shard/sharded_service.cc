@@ -127,8 +127,10 @@ Status ShardedSimRankService::MergeAndSubmit(const graph::EdgeUpdate& update) {
   services_[src]->Stop();
   auto dst_snap = services_[dst]->Snapshot();
   auto src_snap = services_[src]->Snapshot();
-  retired_ += services_[dst]->stats();
-  retired_ += services_[src]->stats();
+  // Their counts stay in the totals; their gauges (rows, queue depth)
+  // now belong to the merged shard, which reports them itself.
+  obs::MergeStats(&retired_, services_[dst]->stats(), /*gauges=*/false);
+  obs::MergeStats(&retired_, services_[src]->stats(), /*gauges=*/false);
 
   // Old local -> global maps, captured before the plan mutates.
   const std::vector<graph::NodeId> dst_nodes = plan_.ShardNodes(dst);

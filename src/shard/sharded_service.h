@@ -83,10 +83,10 @@ struct ShardedStats {
     service::ServiceStats stats;
   };
   std::vector<ShardEntry> per_shard;
-  /// Aggregate over live shards + shards retired by merges: counters sum
-  /// field-wise, `epoch` is the MAX per-shard epoch (epochs are
-  /// independent per-shard sequence numbers; see
-  /// service::ServiceStats::operator+=).
+  /// Aggregate over live shards + shards retired by merges, field-wise by
+  /// each field's aggregation (obs/stats_schema.h): counters sum, `epoch`
+  /// is the MAX per-shard epoch, and gauges (current rows, queue depth)
+  /// cover the live shards only.
   service::ServiceStats total;
   std::size_t active_shards = 0;
   /// Cross-shard inserts routed through the merge path.
@@ -195,7 +195,8 @@ class ShardedSimRankService {
   // Counters below (except router_failed_) are only mutated with mu_ held
   // exclusively; router_failed_ is bumped under the shared lock by any
   // writer dropping a cross-shard delete, hence atomic.
-  service::ServiceStats retired_;  // summed stats of merged-away shards
+  // Merged-away shards' final stats, gauges left out (obs::MergeStats).
+  service::ServiceStats retired_;
   std::uint64_t merges_ = 0;
   std::atomic<std::uint64_t> router_failed_{0};
   std::uint64_t merge_rebuild_rows_ = 0;

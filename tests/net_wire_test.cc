@@ -22,6 +22,7 @@
 #include "graph/update_stream.h"
 #include "net/wire.h"
 #include "obs/histogram.h"
+#include "stats_schema_util.h"
 
 namespace incsr::net::wire {
 namespace {
@@ -368,6 +369,172 @@ TEST(WireRoundTrip, ErrorResponse) {
   EXPECT_EQ(out.status, RpcStatus::kInternal);
   EXPECT_EQ(out.message, "something on fire");
   ExpectAllTruncationsFail(in);
+}
+
+// ---- Schema-driven StatsResponse checks -----------------------------------
+// These walk the ServiceStats field table (stats_schema_util.h), so a
+// counter added to the table is covered without editing them.
+
+// Encoded StatsResponse header: status + num_nodes + num_edges + is_replica.
+constexpr std::size_t kStatsHeaderBytes = 1 + 8 + 8 + 1;
+
+struct TaggedField {
+  std::string name;
+  std::string payload;
+};
+
+// Splits an encoded StatsResponse body into its tagged fields, following
+// the documented layout independently of the decoder.
+std::vector<TaggedField> ParseFields(const std::string& body) {
+  Reader reader(std::string_view(body).substr(kStatsHeaderBytes));
+  std::uint32_t count = 0;
+  EXPECT_TRUE(reader.U32(&count));
+  std::vector<TaggedField> fields(count);
+  for (TaggedField& field : fields) {
+    std::uint8_t name_size = 0;
+    std::string_view name;
+    std::uint32_t payload_size = 0;
+    std::string_view payload;
+    EXPECT_TRUE(reader.U8(&name_size) && reader.Bytes(name_size, &name) &&
+                reader.U32(&payload_size) &&
+                reader.Bytes(payload_size, &payload));
+    field = {std::string(name), std::string(payload)};
+  }
+  EXPECT_TRUE(reader.Complete());
+  return fields;
+}
+
+// `body`'s header followed by `fields`, announced as `count` fields.
+std::string WithFields(const std::string& body,
+                       const std::vector<TaggedField>& fields,
+                       std::uint32_t count) {
+  std::string out = body.substr(0, kStatsHeaderBytes);
+  Writer writer(&out);
+  writer.U32(count);
+  for (const TaggedField& field : fields) {
+    writer.U8(static_cast<std::uint8_t>(field.name.size()));
+    writer.Bytes(field.name);
+    writer.Str(field.payload);
+  }
+  return out;
+}
+std::string WithFields(const std::string& body,
+                       const std::vector<TaggedField>& fields) {
+  return WithFields(body, fields, static_cast<std::uint32_t>(fields.size()));
+}
+
+StatsResponse DistinctStatsResponse() {
+  StatsResponse in;
+  in.num_nodes = 321;
+  in.num_edges = 654;
+  in.is_replica = true;
+  test_util::FillDistinct(&in.stats, 5);
+  return in;
+}
+
+std::string EncodedBody(const StatsResponse& in) {
+  std::string body;
+  in.EncodeBody(&body);
+  return body;
+}
+
+TEST(WireStatsSchema, EveryFieldRoundTripsAndEveryTruncationFails) {
+  const StatsResponse in = DistinctStatsResponse();
+  const StatsResponse out = FrameRoundTrip(MessageTag::kStatsResponse, in);
+  EXPECT_EQ(test_util::Rendered(out.stats), test_util::Rendered(in.stats));
+  EXPECT_EQ(out.num_nodes, 321u);
+  EXPECT_EQ(out.num_edges, 654u);
+  EXPECT_TRUE(out.is_replica);
+  // One tagged field per table leaf, in table order, under its name.
+  const std::vector<TaggedField> fields = ParseFields(EncodedBody(in));
+  const std::vector<test_util::StatLeaf> leaves = test_util::Leaves(in.stats);
+  ASSERT_EQ(fields.size(), leaves.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(fields[i].name, leaves[i].name);
+  }
+  ExpectAllTruncationsFail(in);
+}
+
+TEST(WireStatsSchema, UnknownFieldsAreSkippedByLength) {
+  const StatsResponse in = DistinctStatsResponse();
+  const std::string body = EncodedBody(in);
+  std::vector<TaggedField> fields = ParseFields(body);
+  fields.insert(fields.begin(), {"counter_from_a_newer_peer", "\x07\x07"});
+  fields.push_back({"another_unknown", std::string(300, '\x01')});
+  StatsResponse out;
+  ASSERT_TRUE(StatsResponse::DecodeBody(WithFields(body, fields), &out));
+  EXPECT_EQ(test_util::Rendered(out.stats), test_util::Rendered(in.stats));
+}
+
+TEST(WireStatsSchema, AbsentFieldsDecodeAsDefault) {
+  // A peer that predates a counter omits it; the rest still decode.
+  const StatsResponse in = DistinctStatsResponse();
+  const std::string body = EncodedBody(in);
+  const std::vector<TaggedField> fields = ParseFields(body);
+  const std::vector<std::string> defaults =
+      test_util::Rendered(service::ServiceStats{});
+  for (std::size_t drop = 0; drop < fields.size(); ++drop) {
+    std::vector<TaggedField> fewer = fields;
+    fewer.erase(fewer.begin() + static_cast<std::ptrdiff_t>(drop));
+    StatsResponse out;
+    ASSERT_TRUE(StatsResponse::DecodeBody(WithFields(body, fewer), &out))
+        << fields[drop].name;
+    std::vector<std::string> expected = test_util::Rendered(in.stats);
+    expected[drop] = defaults[drop];
+    EXPECT_EQ(test_util::Rendered(out.stats), expected);
+  }
+}
+
+TEST(WireStatsSchema, RepeatedNamesAreRejected) {
+  const std::string body = EncodedBody(DistinctStatsResponse());
+  const std::vector<TaggedField> fields = ParseFields(body);
+  StatsResponse out;
+  for (const TaggedField& field : fields) {
+    std::vector<TaggedField> repeated = fields;
+    repeated.push_back(field);
+    EXPECT_FALSE(StatsResponse::DecodeBody(WithFields(body, repeated), &out))
+        << field.name;
+  }
+  std::vector<TaggedField> unknown_twice = fields;
+  unknown_twice.push_back({"unknown", "a"});
+  unknown_twice.push_back({"unknown", "b"});
+  EXPECT_FALSE(
+      StatsResponse::DecodeBody(WithFields(body, unknown_twice), &out));
+}
+
+TEST(WireStatsSchema, KnownFieldWithWrongPayloadLengthIsRejected) {
+  const std::string body = EncodedBody(DistinctStatsResponse());
+  const std::vector<TaggedField> fields = ParseFields(body);
+  StatsResponse out;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    std::vector<TaggedField> longer = fields;
+    longer[i].payload.push_back('\0');
+    EXPECT_FALSE(StatsResponse::DecodeBody(WithFields(body, longer), &out))
+        << fields[i].name;
+    std::vector<TaggedField> shorter = fields;
+    shorter[i].payload.pop_back();
+    EXPECT_FALSE(StatsResponse::DecodeBody(WithFields(body, shorter), &out))
+        << fields[i].name;
+  }
+}
+
+TEST(WireStatsSchema, FieldCountsBeyondTheBytesOrTheCapAreRejected) {
+  const std::string body = EncodedBody(DistinctStatsResponse());
+  const std::vector<TaggedField> fields = ParseFields(body);
+  const auto count = static_cast<std::uint32_t>(fields.size());
+  StatsResponse out;
+  EXPECT_FALSE(
+      StatsResponse::DecodeBody(WithFields(body, fields, count + 1), &out));
+  EXPECT_FALSE(
+      StatsResponse::DecodeBody(WithFields(body, fields, 0xFFFFFFFFu), &out));
+  // Distinct unknown fields up to the cap decode; one more is refused.
+  std::vector<TaggedField> many;
+  for (std::uint32_t i = 0; i < kMaxStatsFields; ++i) {
+    many.push_back({"unknown_" + std::to_string(i), ""});
+  }
+  EXPECT_TRUE(StatsResponse::DecodeBody(WithFields(body, many), &out));
+  many.push_back({"one_too_many", ""});
+  EXPECT_FALSE(StatsResponse::DecodeBody(WithFields(body, many), &out));
 }
 
 // ---- Frame-level malformations --------------------------------------------

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +23,7 @@
 #include "service/simrank_service.h"
 #include "shard/shard_plan.h"
 #include "shard/sharded_service.h"
+#include "stats_schema_util.h"
 
 namespace incsr::shard {
 namespace {
@@ -455,6 +458,15 @@ TEST(ShardedService, CrossShardInsertMergesAndStaysIdentical) {
   EXPECT_EQ(after_merge.merge_rebuild_rows, merged_n);
   EXPECT_EQ(after_merge.merge_rebuild_bytes,
             merged_n * merged_n * sizeof(double));
+  // Gauges describe the live shards only: the merged-away shards' rows
+  // are the merged shard's rows now, and must not be counted twice.
+  EXPECT_EQ(after_merge.total.rows_sparse + after_merge.total.rows_dense,
+            (*sharded)->num_nodes());
+  std::uint64_t bytes_saved = 0;
+  for (const ShardedStats::ShardEntry& entry : after_merge.per_shard) {
+    bytes_saved += entry.stats.bytes_saved;
+  }
+  EXPECT_EQ(after_merge.total.bytes_saved, bytes_saved);
   ExpectIdenticalViews(**single, **sharded, n, &rng, /*probes=*/3);
 
   // Cross-component edges inside the merged shard are ordinary updates
@@ -495,6 +507,90 @@ TEST(ShardedService, CrossShardDeleteIsCountedNotApplied) {
                                        stats.total.queue_depth);
   Rng rng(2);
   ExpectIdenticalViews(**single, **sharded, mc.graph.num_nodes(), &rng, 2);
+}
+
+// ---- Stats aggregation (schema-driven) -------------------------------------
+// Walks the ServiceStats field table, so a new counter is covered by its
+// aggregation column with no test edit.
+
+// Checks every leaf of `merged` against `a` and `b` by the leaf's
+// aggregation; kGauge leaves add when `gauges_add`, else keep `a`'s value.
+void ExpectMergedByAggregation(const service::ServiceStats& a,
+                               const service::ServiceStats& b,
+                               const service::ServiceStats& merged,
+                               bool gauges_add) {
+  const std::vector<test_util::StatLeaf> la = test_util::Leaves(a);
+  const std::vector<test_util::StatLeaf> lb = test_util::Leaves(b);
+  const std::vector<test_util::StatLeaf> lm = test_util::Leaves(merged);
+  ASSERT_EQ(la.size(), lm.size());
+  for (std::size_t i = 0; i < lm.size(); ++i) {
+    SCOPED_TRACE(lm[i].name);
+    std::visit(
+        [&](const auto& va) {
+          using T = std::remove_cvref_t<decltype(va)>;
+          const T& vb = std::get<T>(lb[i].value);
+          const T& vm = std::get<T>(lm[i].value);
+          if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+            EXPECT_EQ(lm[i].agg, obs::StatAgg::kHistogram);
+            for (std::size_t k = 0; k < vm.buckets.size(); ++k) {
+              EXPECT_EQ(vm.buckets[k], va.buckets[k] + vb.buckets[k]);
+            }
+            EXPECT_EQ(vm.count, va.count + vb.count);
+            EXPECT_EQ(vm.sum, va.sum + vb.sum);
+            EXPECT_EQ(vm.min, std::min(va.min, vb.min));
+            EXPECT_EQ(vm.max, std::max(va.max, vb.max));
+          } else {
+            switch (lm[i].agg) {
+              case obs::StatAgg::kSum:
+                EXPECT_EQ(vm, va + vb);
+                break;
+              case obs::StatAgg::kMax:
+                EXPECT_EQ(vm, std::max(va, vb));
+                break;
+              case obs::StatAgg::kGauge:
+                EXPECT_EQ(vm, gauges_add ? va + vb : va);
+                break;
+              case obs::StatAgg::kHistogram:
+                ADD_FAILURE() << "scalar field marked kHistogram";
+                break;
+            }
+          }
+        },
+        la[i].value);
+  }
+}
+
+TEST(StatsSchema, TableCoversEveryAggregation) {
+  std::vector<int> seen(4, 0);
+  for (const test_util::StatLeaf& leaf :
+       test_util::Leaves(service::ServiceStats{})) {
+    ++seen[static_cast<std::size_t>(leaf.agg)];
+  }
+  for (int count : seen) EXPECT_GT(count, 0);
+}
+
+TEST(StatsSchema, PlusEqualsFollowsTheAggregationColumn) {
+  service::ServiceStats a;
+  service::ServiceStats b;
+  test_util::FillDistinct(&a, 1);
+  test_util::FillDistinct(&b, 2);
+  service::ServiceStats merged = a;
+  merged += b;
+  ExpectMergedByAggregation(a, b, merged, /*gauges_add=*/true);
+  // Max fields keep the larger side whichever side holds it.
+  service::ServiceStats reversed = b;
+  reversed += a;
+  EXPECT_EQ(test_util::Rendered(reversed), test_util::Rendered(merged));
+}
+
+TEST(StatsSchema, RetiredShardAccumulationLeavesGaugesOut) {
+  service::ServiceStats a;
+  service::ServiceStats b;
+  test_util::FillDistinct(&a, 3);
+  test_util::FillDistinct(&b, 4);
+  service::ServiceStats retired = a;
+  obs::MergeStats(&retired, b, /*gauges=*/false);
+  ExpectMergedByAggregation(a, b, retired, /*gauges_add=*/false);
 }
 
 // ---- Deterministic tie-breaking (regression for the merge contract) ------

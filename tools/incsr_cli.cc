@@ -54,6 +54,7 @@
 // "- src dst" (delete); '#' starts a comment.
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -409,6 +410,83 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
   return options;
 }
 
+// ---- Stats output -----------------------------------------------------------
+
+// Prometheus text-format sample lines of one stats leaf; `labels` is
+// empty or a label list such as shard="2".
+std::string Sample(const std::string& name, const std::string& labels,
+                   double value) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%.9g", value);
+  return name + (labels.empty() ? "" : "{" + labels + "}") + " " + text +
+         "\n";
+}
+template <std::unsigned_integral T>
+std::string Sample(const std::string& name, const std::string& labels,
+                   T value) {
+  return name + (labels.empty() ? "" : "{" + labels + "}") + " " +
+         std::to_string(value) + "\n";
+}
+std::string Sample(const std::string& name, const std::string& labels,
+                   const obs::HistogramSnapshot& hist) {
+  std::string out;
+  for (double q : {0.5, 0.99}) {
+    char quantile[32];
+    std::snprintf(quantile, sizeof quantile, "quantile=\"%g\"", q);
+    out += Sample(name, labels.empty() ? quantile : labels + "," + quantile,
+                  hist.Percentile(q));
+  }
+  return out + Sample(name + "_sum", labels, hist.sum) +
+         Sample(name + "_count", labels, hist.count);
+}
+
+const char* PrometheusType(obs::StatAgg agg) {
+  switch (agg) {
+    case obs::StatAgg::kSum: return "counter";
+    case obs::StatAgg::kMax:
+    case obs::StatAgg::kGauge: return "gauge";
+    case obs::StatAgg::kHistogram: return "summary";
+  }
+  return "untyped";
+}
+
+// Prints every ServiceStats table field in Prometheus text format: HELP
+// and TYPE from the table, the aggregate as an unlabeled sample, then one
+// {shard="N"} sample per shard. Histograms print as summaries (p50/p99,
+// _sum, _count).
+void PrintStats(const service::ServiceStats& total,
+                const std::vector<shard::ShardedStats::ShardEntry>& shards =
+                    {}) {
+  // samples[source][leaf]: the aggregate first, then each shard.
+  std::vector<std::vector<std::string>> samples;
+  const auto render = [&samples](const service::ServiceStats& stats,
+                                 const std::string& labels) {
+    std::vector<std::string>& out = samples.emplace_back();
+    obs::VisitLeaves(stats, [&](const std::string& name,
+                                const obs::StatField&, const auto& value) {
+      out.push_back(Sample("incsr_" + name, labels, value));
+    });
+  };
+  render(total, "");
+  for (const auto& entry : shards) {
+    render(entry.stats, "shard=\"" + std::to_string(entry.slot) + "\"");
+  }
+  std::size_t leaf = 0;
+  obs::VisitLeaves(total, [&](const std::string& name,
+                              const obs::StatField& field, const auto&) {
+    std::printf("# HELP incsr_%s %.*s", name.c_str(),
+                static_cast<int>(field.help.size()), field.help.data());
+    if (!field.unit.empty()) {
+      std::printf(" (%.*s)", static_cast<int>(field.unit.size()),
+                  field.unit.data());
+    }
+    std::printf("\n# TYPE incsr_%s %s\n", name.c_str(),
+                PrometheusType(field.agg));
+    for (const auto& source : samples) std::fputs(source[leaf].c_str(), stdout);
+    ++leaf;
+  });
+}
+
 // Replays the update stream from N writer threads while M reader threads
 // issue top-k queries, then flushes. Works against any service exposing
 // Submit / TopKFor / Flush (single or sharded).
@@ -506,62 +584,16 @@ int RunServeSharded(const ServeOptions& options,
 
   shard::ShardedStats stats = svc.stats();
   std::printf(
-      "replayed in %.3f s: %llu applied, %llu failed (%llu at the router), "
-      "%llu dropped by backpressure, max epoch %llu over %zu shard(s), "
-      "%llu shard merges\n",
-      outcome.seconds, static_cast<unsigned long long>(stats.total.applied),
-      static_cast<unsigned long long>(stats.total.failed),
+      "replayed in %.3f s: %llu dropped by backpressure, %llu failed at the "
+      "router, %llu shard merges over %zu live shard(s)\n",
+      outcome.seconds, static_cast<unsigned long long>(outcome.dropped),
       static_cast<unsigned long long>(stats.router_failed),
-      static_cast<unsigned long long>(outcome.dropped),
-      static_cast<unsigned long long>(stats.total.epoch), stats.active_shards,
-      static_cast<unsigned long long>(stats.merges));
+      static_cast<unsigned long long>(stats.merges), stats.active_shards);
   std::printf("aggregate ingest throughput: %.0f updates/s\n",
               static_cast<double>(stats.total.applied) / outcome.seconds);
   std::printf("concurrent queries served: %llu (%.0f queries/s)\n",
               static_cast<unsigned long long>(outcome.queries),
               static_cast<double>(outcome.queries) / outcome.seconds);
-  std::printf(
-      "query cache: %llu hits, %llu misses, %llu invalidations, "
-      "%llu evictions\n",
-      static_cast<unsigned long long>(stats.total.cache.hits),
-      static_cast<unsigned long long>(stats.total.cache.misses),
-      static_cast<unsigned long long>(stats.total.cache.invalidations),
-      static_cast<unsigned long long>(stats.total.cache.evictions));
-  std::printf(
-      "top-k index: %llu misses served O(k), %llu row-scan fallbacks, "
-      "%llu rows re-ranked across shards\n",
-      static_cast<unsigned long long>(stats.total.topk_index_served),
-      static_cast<unsigned long long>(stats.total.topk_index_fallbacks),
-      static_cast<unsigned long long>(stats.total.topk_index_rows_reranked));
-  std::printf(
-      "pair queries: %llu misses served by index merge, %llu pair-scan "
-      "fallbacks\n",
-      static_cast<unsigned long long>(stats.total.topk_pairs_served),
-      static_cast<unsigned long long>(stats.total.topk_pairs_fallbacks));
-  if (stats.total.rows_sparse > 0 || stats.total.tier_demotions > 0) {
-    std::printf(
-        "tiered store: %llu sparse / %llu dense rows, %.2f MB saved, "
-        "%llu demotions, %llu promotions, %llu eps-drops, "
-        "max error bound %.3g\n",
-        static_cast<unsigned long long>(stats.total.rows_sparse),
-        static_cast<unsigned long long>(stats.total.rows_dense),
-        static_cast<double>(stats.total.bytes_saved) / 1e6,
-        static_cast<unsigned long long>(stats.total.tier_demotions),
-        static_cast<unsigned long long>(stats.total.tier_promotions),
-        static_cast<unsigned long long>(stats.total.sparse_eps_drops),
-        stats.total.sparse_max_error_bound);
-    std::printf(
-        "write path: %llu sparse merges, %llu dense spills\n",
-        static_cast<unsigned long long>(stats.total.sparse_write_merges),
-        static_cast<unsigned long long>(stats.total.rows_spilled_dense));
-  }
-  if (stats.total.topk_cap_grows > 0 || stats.total.topk_cap_shrinks > 0) {
-    std::printf("adaptive index capacity: %llu grows, %llu shrinks\n",
-                static_cast<unsigned long long>(stats.total.topk_cap_grows),
-                static_cast<unsigned long long>(stats.total.topk_cap_shrinks));
-  }
-  std::printf("graph snapshots copy-on-wrote %.2f KB of adjacency\n",
-              static_cast<double>(stats.total.graph_bytes_copied) / 1e3);
   if (stats.merges > 0) {
     std::printf(
         "shard merges rebuilt %llu score rows (%.2f MB) in %.3f s — the "
@@ -570,16 +602,7 @@ int RunServeSharded(const ServeOptions& options,
         static_cast<double>(stats.merge_rebuild_bytes) / 1e6,
         stats.merge_rebuild_seconds);
   }
-  for (const auto& entry : stats.per_shard) {
-    std::printf(
-        "  shard %zu: %zu nodes, %llu applied, %llu epochs, %llu rows "
-        "published, %llu cache hits\n",
-        entry.slot, entry.nodes,
-        static_cast<unsigned long long>(entry.stats.applied),
-        static_cast<unsigned long long>(entry.stats.epoch),
-        static_cast<unsigned long long>(entry.stats.rows_published),
-        static_cast<unsigned long long>(entry.stats.cache.hits));
-  }
+  PrintStats(stats.total, stats.per_shard);
 
   IdSpace ids(data);
   std::printf("final state: %zu nodes, %zu edges; top-%zu pairs:\n",
@@ -617,29 +640,6 @@ void PrintServerStats(const net::IncSrServer& server) {
       static_cast<unsigned long long>(net_stats.requests_served),
       static_cast<unsigned long long>(net_stats.protocol_errors),
       static_cast<unsigned long long>(net_stats.batches_streamed));
-}
-
-void PrintFinalServiceStats(const service::ServiceStats& stats) {
-  std::printf(
-      "final epoch %llu: %llu submitted, %llu applied, %llu failed, "
-      "%llu rejected by backpressure\n",
-      static_cast<unsigned long long>(stats.epoch),
-      static_cast<unsigned long long>(stats.submitted),
-      static_cast<unsigned long long>(stats.applied),
-      static_cast<unsigned long long>(stats.failed),
-      static_cast<unsigned long long>(stats.rejected));
-  if (stats.rows_sparse > 0 || stats.tier_demotions > 0) {
-    std::printf(
-        "tiered store: %llu sparse / %llu dense rows, %.2f MB saved, "
-        "max error bound %.3g\n",
-        static_cast<unsigned long long>(stats.rows_sparse),
-        static_cast<unsigned long long>(stats.rows_dense),
-        static_cast<double>(stats.bytes_saved) / 1e6,
-        stats.sparse_max_error_bound);
-    std::printf("write path: %llu sparse merges, %llu dense spills\n",
-                static_cast<unsigned long long>(stats.sparse_write_merges),
-                static_cast<unsigned long long>(stats.rows_spilled_dense));
-  }
 }
 
 // Pre-applies an on-disk update stream through the serving path (so a
@@ -719,7 +719,8 @@ int RunServeListen(const ServeOptions& options) {
     (*server)->Stop();       // stop accepting / answering
     (*service)->Stop();      // drain every shard, publish final epochs
     PrintServerStats(**server);
-    PrintFinalServiceStats((*service)->stats().total);
+    const shard::ShardedStats stats = (*service)->stats();
+    PrintStats(stats.total, stats.per_shard);
     return 0;
   }
 
@@ -794,7 +795,7 @@ int RunServeListen(const ServeOptions& options) {
   }
   (*service)->Stop();
   PrintServerStats(**server);
-  PrintFinalServiceStats((*service)->stats());
+  PrintStats((*service)->stats());
   return 0;
 }
 
@@ -983,29 +984,11 @@ int RunClient(const ClientCommand& command) {
                    response.status().ToString().c_str());
       return 1;
     }
-    const auto& s = response->stats;
-    std::printf(
-        "%s: %llu nodes, %llu edges, epoch %llu, %llu applied, "
-        "%llu failed, %llu rejected\n",
-        response->is_replica ? "replica" : "primary",
-        static_cast<unsigned long long>(response->num_nodes),
-        static_cast<unsigned long long>(response->num_edges),
-        static_cast<unsigned long long>(s.epoch),
-        static_cast<unsigned long long>(s.applied),
-        static_cast<unsigned long long>(s.failed),
-        static_cast<unsigned long long>(s.rejected));
-    auto print_latency = [](const char* label,
-                            const obs::HistogramSnapshot& hist) {
-      if (hist.empty()) return;
-      std::printf(
-          "%s: p50 %.1f us, p99 %.1f us, mean %.1f us, max %.1f us "
-          "(%llu samples)\n",
-          label, hist.Percentile(0.5) / 1e3, hist.Percentile(0.99) / 1e3,
-          hist.Mean() / 1e3, static_cast<double>(hist.max) / 1e3,
-          static_cast<unsigned long long>(hist.count));
-    };
-    print_latency("queue wait", s.queue_wait_ns);
-    print_latency("batch apply", s.apply_ns);
+    std::printf("# %s: %llu nodes, %llu edges\n",
+                response->is_replica ? "replica" : "primary",
+                static_cast<unsigned long long>(response->num_nodes),
+                static_cast<unsigned long long>(response->num_edges));
+    PrintStats(response->stats);
   }
   return 0;
 }
@@ -1107,74 +1090,25 @@ int RunServe(const ServeOptions& options) {
   const double replay_seconds = outcome.seconds;
 
   service::ServiceStats stats = svc.stats();
-  std::printf(
-      "replayed in %.3f s: %llu applied, %llu failed, %llu dropped by "
-      "backpressure, %llu epochs\n",
-      replay_seconds, static_cast<unsigned long long>(stats.applied),
-      static_cast<unsigned long long>(stats.failed),
-      static_cast<unsigned long long>(outcome.dropped),
-      static_cast<unsigned long long>(stats.epoch));
+  std::printf("replayed in %.3f s: %llu dropped by backpressure\n",
+              replay_seconds,
+              static_cast<unsigned long long>(outcome.dropped));
   std::printf("ingest throughput: %.0f updates/s\n",
               static_cast<double>(stats.applied) / replay_seconds);
   std::printf("concurrent queries served: %llu (%.0f queries/s)\n",
               static_cast<unsigned long long>(outcome.queries),
               static_cast<double>(outcome.queries) / replay_seconds);
-  std::printf(
-      "query cache: %llu hits, %llu misses, %llu invalidations, "
-      "%llu evictions\n",
-      static_cast<unsigned long long>(stats.cache.hits),
-      static_cast<unsigned long long>(stats.cache.misses),
-      static_cast<unsigned long long>(stats.cache.invalidations),
-      static_cast<unsigned long long>(stats.cache.evictions));
-  std::printf(
-      "top-k index: %llu misses served O(k), %llu row-scan fallbacks, "
-      "%llu rows re-ranked\n",
-      static_cast<unsigned long long>(stats.topk_index_served),
-      static_cast<unsigned long long>(stats.topk_index_fallbacks),
-      static_cast<unsigned long long>(stats.topk_index_rows_reranked));
-  std::printf(
-      "pair queries: %llu misses served by index merge, %llu pair-scan "
-      "fallbacks\n",
-      static_cast<unsigned long long>(stats.topk_pairs_served),
-      static_cast<unsigned long long>(stats.topk_pairs_fallbacks));
-  if (stats.rows_sparse > 0 || stats.tier_demotions > 0) {
-    std::printf(
-        "tiered store: %llu sparse / %llu dense rows, %.2f MB saved, "
-        "%llu demotions, %llu promotions, %llu eps-drops, "
-        "max error bound %.3g\n",
-        static_cast<unsigned long long>(stats.rows_sparse),
-        static_cast<unsigned long long>(stats.rows_dense),
-        static_cast<double>(stats.bytes_saved) / 1e6,
-        static_cast<unsigned long long>(stats.tier_demotions),
-        static_cast<unsigned long long>(stats.tier_promotions),
-        static_cast<unsigned long long>(stats.sparse_eps_drops),
-        stats.sparse_max_error_bound);
-    std::printf("write path: %llu sparse merges, %llu dense spills\n",
-                static_cast<unsigned long long>(stats.sparse_write_merges),
-                static_cast<unsigned long long>(stats.rows_spilled_dense));
-  }
-  if (stats.topk_cap_grows > 0 || stats.topk_cap_shrinks > 0) {
-    std::printf("adaptive index capacity: %llu grows, %llu shrinks\n",
-                static_cast<unsigned long long>(stats.topk_cap_grows),
-                static_cast<unsigned long long>(stats.topk_cap_shrinks));
-  }
-  std::printf("graph snapshots copy-on-wrote %.2f KB of adjacency\n",
-              static_cast<double>(stats.graph_bytes_copied) / 1e3);
   // Publish amplification: rows copy-on-written per applied update. The
   // full-copy design this replaced paid n rows per EPOCH regardless of
   // the affected area.
   std::printf(
-      "snapshot publish: %llu rows (%.2f MB) copy-on-written over %llu "
-      "epochs — %.1f rows/update amplification (full-copy baseline: %zu "
-      "rows/epoch)\n",
-      static_cast<unsigned long long>(stats.rows_published),
-      static_cast<double>(stats.bytes_published) / 1e6,
-      static_cast<unsigned long long>(stats.epoch),
-      stats.applied > 0
-          ? static_cast<double>(stats.rows_published) /
-                static_cast<double>(stats.applied)
-          : 0.0,
+      "snapshot publish: %.1f rows/update amplification (full-copy "
+      "baseline: %zu rows/epoch)\n",
+      stats.applied > 0 ? static_cast<double>(stats.rows_published) /
+                              static_cast<double>(stats.applied)
+                        : 0.0,
       data->graph.num_nodes());
+  PrintStats(stats);
 
   IdSpace ids(data.value());
   auto snap = svc.Snapshot();
