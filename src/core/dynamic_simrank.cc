@@ -14,7 +14,8 @@ namespace {
 
 // The option checks every factory shares.
 Status ValidateOptions(const simrank::SimRankOptions& options) {
-  if (options.damping <= 0.0 || options.damping >= 1.0) {
+  // Accepting form, so a NaN damping fails the check.
+  if (!(options.damping > 0.0 && options.damping < 1.0)) {
     return Status::InvalidArgument("damping must be in (0, 1)");
   }
   if (options.iterations < 1) {

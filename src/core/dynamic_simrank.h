@@ -162,8 +162,8 @@ class DynamicSimRank {
 
   const graph::DynamicDiGraph& graph() const { return graph_; }
   /// Publishes the current adjacency as an immutable byte-stable View in
-  /// O(n) pointer copies; later edge updates copy-on-write only the nodes
-  /// they touch (graph::DynamicDiGraph::Snapshot). Same single-writer
+  /// ⌈n/256⌉ pointer copies; later edge updates copy-on-write only the
+  /// nodes they touch (graph::DynamicDiGraph::Snapshot). Same single-writer
   /// rule as mutable_score_store(): the caller must be the update thread.
   graph::DynamicDiGraph::View SnapshotGraph() { return graph_.Snapshot(); }
   /// The maintained similarity matrix, behind the copy-on-write row store.
@@ -172,8 +172,8 @@ class DynamicSimRank {
   /// needed.
   const la::ScoreStore& scores() const { return s_; }
   /// Mutable access to the score store for the serving layer, which calls
-  /// Publish() on it to snapshot an epoch in O(rows touched). The caller
-  /// must be the same thread that applies updates.
+  /// Publish() on it to snapshot an epoch in ⌈n/256⌉ pointer copies. The
+  /// caller must be the same thread that applies updates.
   la::ScoreStore* mutable_score_store() { return &s_; }
   const simrank::SimRankOptions& options() const { return options_; }
   UpdateAlgorithm algorithm() const { return algorithm_; }

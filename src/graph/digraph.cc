@@ -31,68 +31,29 @@ std::string EdgeName(NodeId src, NodeId dst) {
 
 }  // namespace
 
-bool DynamicDiGraph::View::HasEdge(NodeId src, NodeId dst) const {
-  if (!HasNode(src) || !HasNode(dst)) return false;
-  const AdjList& adj = nodes_[static_cast<std::size_t>(src)]->out;
-  return std::binary_search(adj.begin(), adj.end(), dst);
-}
-
-std::vector<Edge> DynamicDiGraph::View::Edges() const {
-  std::vector<Edge> edges;
-  edges.reserve(num_edges_);
-  for (std::size_t u = 0; u < nodes_.size(); ++u) {
-    for (NodeId v : nodes_[u]->out) {
-      edges.push_back({static_cast<NodeId>(u), v});
-    }
-  }
-  return edges;
-}
-
 const std::shared_ptr<const DynamicDiGraph::NodeRec>&
 DynamicDiGraph::EmptyRec() {
-  // Every isolated node in every graph shares this one record (always
-  // flagged shared), so AddNodes is O(count) pointer stores with no
+  // Every isolated node in every graph shares this one record (never
+  // owned), so AddNodes is O(count) pointer stores with no
   // per-node allocation — load-bearing for standing up 10⁵⁺-node graphs.
   static const std::shared_ptr<const NodeRec> kEmpty =
       std::make_shared<NodeRec>();
   return kEmpty;
 }
 
-DynamicDiGraph::DynamicDiGraph(const DynamicDiGraph& other)
-    : nodes_(other.nodes_),
-      shared_(other.nodes_.size(), 1),
-      num_edges_(other.num_edges_) {
-  // The source's records are now referenced by this copy too: mark them
-  // shared so the source's next mutation also copies-on-write.
-  std::fill(other.shared_.begin(), other.shared_.end(), std::uint8_t{1});
-}
-
-DynamicDiGraph& DynamicDiGraph::operator=(const DynamicDiGraph& other) {
-  if (this == &other) return *this;
-  nodes_ = other.nodes_;
-  shared_.assign(other.nodes_.size(), 1);
-  num_edges_ = other.num_edges_;
-  std::fill(other.shared_.begin(), other.shared_.end(), std::uint8_t{1});
-  return *this;
-}
-
 DynamicDiGraph::NodeRec* DynamicDiGraph::MutableNode(std::size_t i) {
-  if (shared_[i]) {
-    auto clone = std::make_shared<NodeRec>(*nodes_[i]);
+  if (!nodes_.owned(i)) {
+    auto clone = std::make_shared<NodeRec>(nodes_[i]);
     bytes_copied_ +=
         (clone->out.size() + clone->in.size()) * sizeof(NodeId);
-    nodes_[i] = std::move(clone);
-    shared_[i] = 0;
+    nodes_.Set(i, std::move(clone));
   }
-  // const_cast is sound: an unshared record is exclusively owned by this
-  // graph, and only the single writer thread reaches this path.
-  return const_cast<NodeRec*>(nodes_[i].get());
+  return nodes_.MutableSlot(i);
 }
 
 NodeId DynamicDiGraph::AddNodes(std::size_t count) {
   NodeId first = static_cast<NodeId>(nodes_.size());
-  nodes_.resize(nodes_.size() + count, EmptyRec());
-  shared_.resize(shared_.size() + count, 1);
+  nodes_.Resize(nodes_.size() + count, EmptyRec());
   return first;
 }
 
@@ -127,53 +88,11 @@ Status DynamicDiGraph::RemoveEdge(NodeId src, NodeId dst) {
   return Status::OK();
 }
 
-bool DynamicDiGraph::HasEdge(NodeId src, NodeId dst) const {
-  if (!HasNode(src) || !HasNode(dst)) return false;
-  const AdjList& adj = nodes_[static_cast<std::size_t>(src)]->out;
-  return std::binary_search(adj.begin(), adj.end(), dst);
-}
-
-std::span<const NodeId> DynamicDiGraph::OutNeighbors(NodeId node) const {
-  INCSR_CHECK(HasNode(node), "OutNeighbors: bad node %d", node);
-  const AdjList& adj = nodes_[static_cast<std::size_t>(node)]->out;
-  return {adj.data(), adj.size()};
-}
-
-std::span<const NodeId> DynamicDiGraph::InNeighbors(NodeId node) const {
-  INCSR_CHECK(HasNode(node), "InNeighbors: bad node %d", node);
-  const AdjList& adj = nodes_[static_cast<std::size_t>(node)]->in;
-  return {adj.data(), adj.size()};
-}
-
-std::vector<Edge> DynamicDiGraph::Edges() const {
-  std::vector<Edge> edges;
-  edges.reserve(num_edges_);
-  for (std::size_t u = 0; u < nodes_.size(); ++u) {
-    for (NodeId v : nodes_[u]->out) {
-      edges.push_back({static_cast<NodeId>(u), v});
-    }
-  }
-  return edges;
-}
-
 DynamicDiGraph::View DynamicDiGraph::Snapshot() {
   View view;
-  view.nodes_ = nodes_;  // O(n) pointer copies — the whole cost
+  view.nodes_ = nodes_.Publish();  // ⌈n/256⌉ page pointers — the whole cost
   view.num_edges_ = num_edges_;
-  std::fill(shared_.begin(), shared_.end(), std::uint8_t{1});
   return view;
-}
-
-bool DynamicDiGraph::operator==(const DynamicDiGraph& other) const {
-  if (nodes_.size() != other.nodes_.size() ||
-      num_edges_ != other.num_edges_) {
-    return false;
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i] == other.nodes_[i]) continue;  // shared record
-    if (!(*nodes_[i] == *other.nodes_[i])) return false;
-  }
-  return true;
 }
 
 }  // namespace incsr::graph

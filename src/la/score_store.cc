@@ -8,65 +8,43 @@
 
 namespace incsr::la {
 
-namespace {
-
-// Materializes any row-readable container (store or view) bitwise,
-// representation-agnostic via ReadRow.
-template <typename RowsLike>
-DenseMatrix MaterializeRows(const RowsLike& m) {
-  DenseMatrix out(m.rows(), m.cols());
-  Vector scratch;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    const double* src = m.ReadRow(i, &scratch);
-    std::copy(src, src + m.cols(), out.RowPtr(i));
-  }
-  return out;
-}
-
-}  // namespace
-
-DenseMatrix ScoreStore::View::ToDense() const { return MaterializeRows(*this); }
-
 ScoreStore::ScoreStore(DenseMatrix dense)
-    : rows_(dense.rows()),
-      cols_(dense.cols()),
-      blocks_(rows_),
-      shared_(rows_, 0),
-      // Writes between now and the first Publish() hit unshared rows and
-      // are not individually tracked — the whole matrix counts as touched.
-      all_rows_touched_(true) {
-  stats_.rows_materialized = rows_;
+    // Writes between now and the first Publish() hit owned rows and are
+    // not individually tracked — the whole matrix counts as touched.
+    : all_rows_touched_(true) {
+  const std::size_t n = dense.rows();
+  cols_ = dense.cols();
+  stats_.rows_materialized = n;
   stats_.bytes_materialized =
-      static_cast<std::uint64_t>(rows_) * cols_ * sizeof(double);
-  BumpDensePeak();
+      static_cast<std::uint64_t>(n) * cols_ * sizeof(double);
   // Row payloads are disjoint and each is a pure copy, so the
   // materialization parallelizes deterministically; this is what makes
   // a shard-merge's FromState re-init row-parallel instead of the O(n²)
   // serial copy it used to be. Aim for ~32K doubles per chunk.
   const std::size_t grain =
       std::max<std::size_t>(1, 32768 / std::max<std::size_t>(cols_, 1));
+  std::vector<std::shared_ptr<const RowBlock>> blocks(n);
   Scheduler::Global().ParallelFor(
-      0, rows_, grain, Scheduler::ResolveNumThreads(0),
-      [this, &dense](std::size_t lo, std::size_t hi) {
+      0, n, grain, Scheduler::ResolveNumThreads(0),
+      [this, &dense, &blocks](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           auto block = std::make_shared<RowBlock>();
           const double* src = dense.RowPtr(i);
           block->dense.assign(src, src + cols_);
-          blocks_[i] = std::move(block);
+          blocks[i] = std::move(block);
         }
       });
+  for (auto& block : blocks) table_.Append(std::move(block));
+  BumpDensePeak();
 }
 
 ScoreStore ScoreStore::ScaledIdentity(std::size_t n, double value) {
   ScoreStore store;
-  store.rows_ = n;
   store.cols_ = n;
-  store.blocks_.resize(n);
-  store.shared_.assign(n, 0);
   store.all_rows_touched_ = true;
   for (std::size_t i = 0; i < n; ++i) {
-    store.blocks_[i] = MakeSingleEntryRow(i, value);
-    store.stats_.sparse_payload_bytes += store.blocks_[i]->payload_bytes();
+    store.table_.Append(MakeSingleEntryRow(i, value));
+    store.stats_.sparse_payload_bytes += store.table_[i].payload_bytes();
   }
   store.stats_.rows_sparse = n;
   store.stats_.rows_materialized += n;
@@ -85,19 +63,18 @@ void ScoreStore::set_sparsity(const SparsityConfig& config) {
 
 void ScoreStore::ReplaceRow(std::size_t i,
                             std::shared_ptr<const RowBlock> block) {
-  if (shared_[i] && !all_rows_touched_) {
+  if (!table_.owned(i) && !all_rows_touched_) {
     touched_rows_.push_back(static_cast<std::int32_t>(i));
   }
-  blocks_[i] = std::move(block);
-  shared_[i] = 0;
+  table_.Set(i, std::move(block));
 }
 
 void ScoreStore::GrowByIsolatedNode(double self_score) {
   ++cols_;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const RowBlock& block = *blocks_[i];
+  for (std::size_t i = 0; i < rows(); ++i) {
+    const RowBlock& block = table_[i];
     // A sparse row already reads +0.0 in the new column, so its block is
-    // reused as is — shared flag included, so a commit into a block an
+    // reused as is — ownership included, so a commit into a block an
     // older View holds still builds a new block instead of merging in
     // place.
     if (block.is_sparse()) continue;
@@ -105,15 +82,12 @@ void ScoreStore::GrowByIsolatedNode(double self_score) {
     grown->dense.reserve(cols_);
     grown->dense.assign(block.dense.begin(), block.dense.end());
     grown->dense.push_back(0.0);
-    blocks_[i] = std::move(grown);
-    shared_[i] = 0;
+    table_.Set(i, std::move(grown));
     ++stats_.rows_materialized;
     stats_.bytes_materialized += cols_ * sizeof(double);
   }
-  blocks_.push_back(MakeSingleEntryRow(rows_, self_score));
-  shared_.push_back(0);
-  ++rows_;
-  const std::size_t new_row_bytes = blocks_.back()->payload_bytes();
+  table_.Append(MakeSingleEntryRow(rows(), self_score));
+  const std::size_t new_row_bytes = table_[rows() - 1].payload_bytes();
   ++stats_.rows_sparse;
   stats_.sparse_payload_bytes += new_row_bytes;
   ++stats_.rows_materialized;
@@ -125,7 +99,7 @@ void ScoreStore::GrowByIsolatedNode(double self_score) {
 
 std::uint64_t ScoreStore::DensePayloadBytes() const {
   const std::uint64_t dense_rows =
-      static_cast<std::uint64_t>(rows_) - stats_.rows_sparse;
+      static_cast<std::uint64_t>(rows()) - stats_.rows_sparse;
   return dense_rows * cols_ * sizeof(double);
 }
 
@@ -137,18 +111,18 @@ void ScoreStore::BumpDensePeak() {
 }
 
 void ScoreStore::BeginWriteRow(std::size_t i, RowWriter* w) {
-  INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-  const RowBlock& block = *blocks_[i];
+  INCSR_DCHECK(i < rows(), "row %zu out of %zu", i, rows());
+  const RowBlock& block = table_[i];
   if (block.is_sparse()) {
     // Sparse session: deltas accumulate against the pinned base block, and
     // nothing in the row table changes until commit — so a reader (or a
     // parallel Add on another row's writer) never observes a half-written
     // row.
-    w->BeginSparse(i, cols_, blocks_[i]);
+    w->BeginSparse(i, cols_, table_.slot(i));
     return;
   }
-  if (shared_[i]) {
-    // First write into a row some published View references: clone it.
+  if (!table_.owned(i)) {
+    // First write into a row a published View may reference: clone it.
     // The old block stays alive (and byte-stable) for as long as any View
     // holds it; this clone IS the incremental publish cost.
     auto clone = std::make_shared<RowBlock>();
@@ -159,17 +133,15 @@ void ScoreStore::BeginWriteRow(std::size_t i, RowWriter* w) {
     TRACE_COUNTER_ARG(kStoreRowCow, 1, bytes);
     ReplaceRow(i, std::move(clone));
   }
-  // const_cast is sound: an unshared block is exclusively owned by this
-  // store, and only the single writer thread reaches this path.
-  w->BeginDense(i, const_cast<RowBlock*>(blocks_[i].get())->dense.data());
+  w->BeginDense(i, table_.MutableSlot(i)->dense.data());
 }
 
 void ScoreStore::CommitWriteRow(RowWriter* w) {
   if (w->direct_dense() || !w->touched()) {
     // Dense-direct: the writes already landed through the flat pointer and
     // Begin did the COW/touched bookkeeping. Zero writes: the row's
-    // readable bytes are unchanged, so keep the base block (and its shared
-    // flag) as they are.
+    // readable bytes are unchanged, so keep the base block (and its
+    // ownership) as they are.
     w->Finish();
     return;
   }
@@ -180,15 +152,14 @@ void ScoreStore::CommitWriteRow(RowWriter* w) {
   if (!w->spilled()) {
     landed_sparse =
         w->MergeSparse(max_nnz, &merge_scratch_cols_, &merge_scratch_vals_);
-    if (landed_sparse && !shared_[i]) {
-      // The row is already writer-private this epoch, so — by the same
-      // exclusivity argument as BeginWriteRow's const_cast — the merged
-      // arrays can swap into the live block directly. The displaced arrays
+    if (landed_sparse && table_.owned(i)) {
+      // The row is already writer-owned this epoch, so the merged arrays
+      // can swap into the live block directly. The displaced arrays
       // become the next commit's scratch, so a row merged repeatedly
       // within one batch allocates nothing after the first merge. The
       // writer's pinned base is this very block, but MergeSparse finished
       // reading it before the swap and Finish() only drops the pin.
-      auto* block = const_cast<RowBlock*>(blocks_[i].get());
+      RowBlock* block = table_.MutableSlot(i);
       stats_.sparse_payload_bytes -= block->payload_bytes();
       block->sparse_cols.swap(merge_scratch_cols_);
       block->sparse_vals.swap(merge_scratch_vals_);
@@ -212,7 +183,7 @@ void ScoreStore::CommitWriteRow(RowWriter* w) {
     block->sparse_cols = std::move(merge_scratch_cols_);
     block->sparse_vals = std::move(merge_scratch_vals_);
   }
-  stats_.sparse_payload_bytes -= blocks_[i]->payload_bytes();
+  stats_.sparse_payload_bytes -= table_[i].payload_bytes();
   if (landed_sparse) {
     stats_.sparse_payload_bytes += block->payload_bytes();
     ++stats_.sparse_write_merges;
@@ -230,9 +201,9 @@ void ScoreStore::CommitWriteRow(RowWriter* w) {
 bool ScoreStore::SparsifyRow(std::size_t i,
                              std::span<const std::int32_t> keep_cols,
                              std::size_t* dropped_out) {
-  INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
+  INCSR_DCHECK(i < rows(), "row %zu out of %zu", i, rows());
   INCSR_CHECK(sparsity_enabled_, "SparsifyRow without set_sparsity");
-  const RowBlock& block = *blocks_[i];
+  const RowBlock& block = table_[i];
   if (block.is_sparse()) return false;
   SparsifyResult result =
       SparsifyDenseRow(block.dense.data(), cols_, sparsity_.epsilon,
@@ -247,18 +218,18 @@ bool ScoreStore::SparsifyRow(std::size_t i,
     stats_.max_error_bound +=
         result.max_dropped_abs * sparsity_.error_amplification;
   }
-  // A shared→unshared transition enters the touched delta even when the
-  // readable bytes did not change (dropped == 0): the invariant "unshared
-  // implies already recorded this epoch" is what lets BeginWriteRow skip
-  // the lookup, and a spurious re-rank of a demoted row is cheap.
+  // Replacing a row the writer does not own enters the touched delta even
+  // when the readable bytes did not change (dropped == 0): the invariant
+  // "owned implies already recorded this epoch" is what lets BeginWriteRow
+  // skip the lookup, and a spurious re-rank of a demoted row is cheap.
   ReplaceRow(i, std::move(result.block));
   if (dropped_out != nullptr) *dropped_out = result.dropped;
   return true;
 }
 
 bool ScoreStore::DensifyRow(std::size_t i) {
-  INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-  const RowBlock& block = *blocks_[i];
+  INCSR_DCHECK(i < rows(), "row %zu out of %zu", i, rows());
+  const RowBlock& block = table_[i];
   if (!block.is_sparse()) return false;
   stats_.sparse_payload_bytes -= block.payload_bytes();
   --stats_.rows_sparse;
@@ -278,19 +249,13 @@ std::uint64_t ScoreStore::bytes_saved() const {
 }
 
 std::uint64_t ScoreStore::payload_bytes() const {
-  const std::uint64_t dense_rows =
-      static_cast<std::uint64_t>(rows_) - stats_.rows_sparse;
-  return dense_rows * cols_ * sizeof(double) + stats_.sparse_payload_bytes;
+  return DensePayloadBytes() + stats_.sparse_payload_bytes;
 }
-
-DenseMatrix ScoreStore::ToDense() const { return MaterializeRows(*this); }
 
 ScoreStore::View ScoreStore::Publish() {
   View view;
-  view.rows_ = rows_;
+  view.table_ = table_.Publish();  // ⌈n/256⌉ page pointers — the whole cost
   view.cols_ = cols_;
-  view.blocks_ = blocks_;  // O(n) pointer copies — the whole cost
-  std::fill(shared_.begin(), shared_.end(), std::uint8_t{1});
   // The published view now IS the previous epoch: the delta restarts empty,
   // and the transient-dense watermark restarts at the resident footprint.
   all_rows_touched_ = false;
@@ -298,22 +263,6 @@ ScoreStore::View ScoreStore::Publish() {
   stats_.epoch_peak_dense_bytes = DensePayloadBytes();
   ++stats_.publishes;
   return view;
-}
-
-double MaxAbsDiff(const ScoreStore& a, const DenseMatrix& b) {
-  return MaxAbsDiffRows(a, b);
-}
-double MaxAbsDiff(const DenseMatrix& a, const ScoreStore& b) {
-  return MaxAbsDiffRows(a, b);
-}
-double MaxAbsDiff(const ScoreStore& a, const ScoreStore& b) {
-  return MaxAbsDiffRows(a, b);
-}
-double MaxAbsDiff(const ScoreStore::View& a, const DenseMatrix& b) {
-  return MaxAbsDiffRows(a, b);
-}
-double MaxAbsDiff(const ScoreStore::View& a, const ScoreStore::View& b) {
-  return MaxAbsDiffRows(a, b);
 }
 
 }  // namespace incsr::la

@@ -1,23 +1,23 @@
 // ScoreStore — a per-row copy-on-write similarity matrix. The paper's
 // central observation is that an edge update perturbs only a small affected
-// area of S; the serving layer therefore should not pay O(n²) to publish an
-// epoch snapshot when a batch touched only a few rows. ScoreStore makes the
-// touched-row structure explicit in storage:
+// area of S; the serving layer therefore should not pay O(n²) — or O(n) —
+// to publish an epoch snapshot when a batch touched only a few rows.
+// ScoreStore makes the touched-row structure explicit in storage:
 //
-//   - Every row lives in its own immutable, reference-counted block behind
-//     a row-pointer table. A block's payload is pluggable (la::RowBlock):
-//     a dense row, or — when sparsity is enabled — a threshold-sparsified
-//     index+value layout holding only entries ≥ ε plus the row's protected
-//     top-k columns.
-//   - Publish() snapshots the matrix by copying the POINTER TABLE only —
-//     O(n) shared_ptr bumps, never the O(n²) payload — and marks every
-//     block as shared with that View.
+//   - Every row lives in its own immutable, reference-counted block in a
+//     paged copy-on-write table (common/cow_table.h). A block's payload is
+//     pluggable (la::RowBlock): a dense row, or — when sparsity is
+//     enabled — a threshold-sparsified index+value layout holding only
+//     entries ≥ ε plus the row's protected top-k columns.
+//   - Publish() copies the table's page ROOT only — ⌈n/256⌉ pointers; the
+//     next write into a page clones it (256 pointers), so T touched rows
+//     publish for O(T·256 + n/256) pointer copies plus the T row clones.
 //   - BeginWriteRow(i)/CommitWriteRow() is the one write path: the store
 //     opens a representation-aware RowWriter session per row. A
 //     dense-backed row hands out its flat pointer (cloning the block first
-//     if it is shared with a live or past View — copy-on-write); a
-//     sparse-backed row stays sparse: the kernel's (column, delta) stream
-//     accumulates in the writer and commit index-merges it with the
+//     unless the writer owns it — copy-on-write); a sparse-backed row
+//     stays sparse: the kernel's (column, delta) stream accumulates in
+//     the writer and commit index-merges it with the
 //     immutable base block, spilling to dense only past the max_density
 //     gate or on an explicit RowWriter::Dense() (counted as
 //     rows_spilled_dense, separate from explicit DensifyRow promotions).
@@ -38,18 +38,20 @@
 // Publish, GrowByIsolatedNode); any number of reader threads read through
 // Views they obtained via a synchronizing handoff (e.g. a shared_ptr swap
 // under a mutex). Blocks are immutable once shared and freed by shared_ptr
-// refcounting, so no reader ever races a write — the COW decision uses a
-// writer-private "shared since last clone" flag, not
-// shared_ptr::use_count(), keeping the store TSan-clean by design.
+// refcounting, so no reader ever races a write — the COW decision is the
+// table's writer-private ownership rule, not shared_ptr::use_count(),
+// keeping the store TSan-clean by design.
 #ifndef INCSR_LA_SCORE_STORE_H_
 #define INCSR_LA_SCORE_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "common/check.h"
+#include "common/cow_table.h"
 #include "la/dense_matrix.h"
 #include "la/row_block.h"
 #include "la/row_writer.h"
@@ -124,52 +126,61 @@ struct SparsityConfig {
   double error_amplification = 1.0;
 };
 
-/// Per-row copy-on-write score matrix. See file comment.
-class ScoreStore {
-  using RowTable = std::vector<std::shared_ptr<const RowBlock>>;
-
+/// The read surface ScoreStore and ScoreStore::View share, written once
+/// over either the writer's row table or a published snapshot of it.
+template <typename Table>
+class ScoreRows {
  public:
-  /// Immutable snapshot of the row-pointer table. Copying a View copies
-  /// the table (O(n)); pinning an existing View via shared_ptr is O(1).
-  /// Reads are valid and byte-stable for the View's lifetime.
-  class View {
-   public:
-    View() = default;
+  std::size_t rows() const { return table_.size(); }
+  std::size_t cols() const { return cols_; }
+  bool empty() const { return rows() == 0 || cols_ == 0; }
 
-    std::size_t rows() const { return rows_; }
-    std::size_t cols() const { return cols_; }
-    bool empty() const { return rows_ == 0 || cols_ == 0; }
+  double operator()(std::size_t i, std::size_t j) const {
+    INCSR_DCHECK(i < rows() && j < cols_, "index (%zu,%zu) out of (%zu,%zu)",
+                 i, j, rows(), cols_);
+    return table_[i].At(j);
+  }
 
-    double operator()(std::size_t i, std::size_t j) const {
-      INCSR_DCHECK(i < rows_ && j < cols_, "view index (%zu,%zu) out of (%zu,%zu)",
-                   i, j, rows_, cols_);
-      return blocks_[i]->At(j);
+  /// True when row i is backed by the sparse layout.
+  bool RowIsSparse(std::size_t i) const {
+    INCSR_DCHECK(i < rows(), "row %zu out of %zu", i, rows());
+    return table_[i].is_sparse();
+  }
+
+  /// Contiguous read access to row i regardless of its representation: a
+  /// dense row returns its payload pointer untouched; a sparse row is
+  /// gathered into *scratch (resized to cols()) and that buffer is
+  /// returned. The pointer is invalidated by the next ReadRow into the
+  /// same scratch.
+  const double* ReadRow(std::size_t i, Vector* scratch) const {
+    INCSR_DCHECK(i < rows(), "row %zu out of %zu", i, rows());
+    return ReadRowFromBlock(table_[i], cols_, scratch);
+  }
+
+  /// Materializes the matrix (bitwise-exact copy).
+  DenseMatrix ToDense() const {
+    DenseMatrix out(rows(), cols_);
+    Vector scratch;
+    for (std::size_t i = 0; i < rows(); ++i) {
+      const double* src = ReadRow(i, &scratch);
+      std::copy(src, src + cols_, out.RowPtr(i));
     }
+    return out;
+  }
 
-    /// True when row i is backed by the sparse layout.
-    bool RowIsSparse(std::size_t i) const {
-      INCSR_DCHECK(i < rows_, "view row %zu out of %zu", i, rows_);
-      return blocks_[i]->is_sparse();
-    }
+ protected:
+  Table table_;
+  std::size_t cols_ = 0;
+};
 
-    /// Contiguous read access to row i regardless of its representation: a
-    /// dense row returns its payload pointer untouched; a sparse row is
-    /// gathered into *scratch (resized to cols()) and that buffer is
-    /// returned. The pointer is invalidated by the next ReadRow into the
-    /// same scratch.
-    const double* ReadRow(std::size_t i, Vector* scratch) const {
-      INCSR_DCHECK(i < rows_, "view row %zu out of %zu", i, rows_);
-      return ReadRowFromBlock(*blocks_[i], cols_, scratch);
-    }
-
-    /// Materializes the viewed matrix (bitwise-exact copy).
-    DenseMatrix ToDense() const;
-
-   private:
+/// Per-row copy-on-write score matrix. See file comment.
+class ScoreStore : public ScoreRows<CowTable<RowBlock>> {
+ public:
+  /// Immutable snapshot of the row table. Copying a View copies the page
+  /// root (⌈n/256⌉ pointers); pinning an existing View via shared_ptr is
+  /// O(1). Reads are valid and byte-stable for the View's lifetime.
+  class View : public ScoreRows<CowTable<RowBlock>::Snapshot> {
     friend class ScoreStore;
-    std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    RowTable blocks_;
   };
 
   ScoreStore() = default;
@@ -183,35 +194,11 @@ class ScoreStore {
   /// max_density).
   static ScoreStore ScaledIdentity(std::size_t n, double value);
 
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  bool empty() const { return rows_ == 0 || cols_ == 0; }
-
-  double operator()(std::size_t i, std::size_t j) const {
-    INCSR_DCHECK(i < rows_ && j < cols_, "index (%zu,%zu) out of (%zu,%zu)", i,
-                 j, rows_, cols_);
-    return blocks_[i]->At(j);
-  }
-
-  /// True when row i is backed by the sparse layout.
-  bool RowIsSparse(std::size_t i) const {
-    INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-    return blocks_[i]->is_sparse();
-  }
-
-  /// Contiguous read access to row i regardless of representation (see
-  /// View::ReadRow).
-  const double* ReadRow(std::size_t i, Vector* scratch) const {
-    INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-    return ReadRowFromBlock(*blocks_[i], cols_, scratch);
-  }
-
   /// Opens a write session for row i on *w (see la::RowWriter) — the one
   /// write path. A dense row gets a dense-direct session onto its flat
-  /// payload, cloned first when a published View shares it
-  /// (copy-on-write); a sparse row gets an accumulation session against
-  /// the immutable base block, so nothing the store publishes changes
-  /// until CommitWriteRow. Writer thread only; sessions on DISJOINT rows
+  /// payload, cloned first unless the writer owns it (copy-on-write); a
+  /// sparse row gets an accumulation session against the immutable base
+  /// block, so nothing the store publishes changes until CommitWriteRow. Writer thread only; sessions on DISJOINT rows
   /// may be filled (Add/Dense) from parallel workers between Begin and
   /// Commit.
   void BeginWriteRow(std::size_t i, RowWriter* w);
@@ -237,7 +224,7 @@ class ScoreStore {
   /// sparse or fails the max_density gate. On success `*dropped_out`
   /// (optional) receives the number of lossy drops; when it is zero the
   /// row's readable bytes are unchanged. Writer thread only; like a
-  /// write session, a demotion of a shared row records it in the
+  /// write session, a demotion of a published row records it in the
   /// touched-row delta so index/cache maintenance sees it.
   bool SparsifyRow(std::size_t i, std::span<const std::int32_t> keep_cols,
                    std::size_t* dropped_out = nullptr);
@@ -256,8 +243,8 @@ class ScoreStore {
   // ---- Touched-row delta surface -----------------------------------------
   // Between two Publish() calls, the rows whose bytes may differ from the
   // previous View are exactly the rows written through a write session or
-  // retired/promoted by SparsifyRow/DensifyRow; the shared→unshared
-  // transition records them here. The serving layer reads this (before
+  // retired/promoted by SparsifyRow/DensifyRow; replacing a row the writer
+  // does not own records it here. The serving layer reads this (before
   // calling Publish(), which resets it) to re-rank its per-node top-k
   // index and invalidate its query cache from the rows the batch ACTUALLY
   // wrote — exact for every update algorithm, unlike the analytic
@@ -268,25 +255,23 @@ class ScoreStore {
   /// are not individually tracked.
   bool all_rows_touched() const { return all_rows_touched_; }
 
-  /// Row indices copy-on-written since the last Publish(), duplicate-free
-  /// (a row clones at most once per epoch). Meaningless while
-  /// all_rows_touched() is set.
+  /// Row indices replaced since the last Publish(), duplicate-free (a row
+  /// stops being writer-owned only at Publish(), so it enters at most once
+  /// per epoch). Meaningless while all_rows_touched() is set.
   const std::vector<std::int32_t>& touched_rows() const {
     return touched_rows_;
   }
 
-  /// Materializes the current matrix (bitwise-exact copy).
-  DenseMatrix ToDense() const;
-
-  /// Snapshots the current matrix as an immutable View: copies the row
-  /// pointer table and marks every row shared, so subsequent writes COW.
-  /// O(n) — never touches the O(n²) payload. Writer thread only.
+  /// Snapshots the current matrix as an immutable View: copies the page
+  /// root and ends the writer's ownership of every row, so subsequent
+  /// writes COW. O(⌈n/256⌉) — never the rows or their payload. Writer
+  /// thread only.
   View Publish();
 
   /// Grows the n×n matrix to (n+1)×(n+1) for an isolated new node: the
   /// new column is +0.0 in every old row and the new row holds only
   /// `self_score` on its diagonal. Sparse rows keep their block (the new
-  /// column is an implicit zero) and its shared flag; dense rows are
+  /// column is an implicit zero) and its ownership; dense rows are
   /// rebuilt one entry wider; the new row is single-entry sparse. Every
   /// row counts as touched, and previously published Views keep serving
   /// the old geometry and bytes. Writer thread only.
@@ -295,22 +280,15 @@ class ScoreStore {
   const ScoreStoreStats& stats() const { return stats_; }
 
  private:
-  // Installs `block` as row i. A shared→unshared transition records the
-  // row in the touched delta; it happens at most once per row per epoch,
-  // keeping the list duplicate-free without a lookup.
+  // Installs `block` as row i. Replacing a row the writer does not own
+  // records it in the touched delta; that happens at most once per row per
+  // epoch, keeping the list duplicate-free without a lookup.
   void ReplaceRow(std::size_t i, std::shared_ptr<const RowBlock> block);
   // Resident dense payload bytes right now, and the watermark bump every
   // dense-increasing transition calls (epoch_peak_dense_bytes).
   std::uint64_t DensePayloadBytes() const;
   void BumpDensePeak();
 
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  RowTable blocks_;
-  // Writer-private COW flags: shared_[i] is true iff row i's block is
-  // referenced by at least one Publish()ed table and must be cloned
-  // before mutation.
-  std::vector<std::uint8_t> shared_;
   // Writer-private touched-row delta since the last Publish() (see the
   // delta-surface accessors above).
   bool all_rows_touched_ = false;
@@ -325,13 +303,17 @@ class ScoreStore {
   ScoreStoreStats stats_;
 };
 
-/// Largest |a - b| entry, mixed-representation overloads (shape-checked;
-/// NaN when any entry pair holds a NaN — see la::MaxAbsDiffRows).
-double MaxAbsDiff(const ScoreStore& a, const DenseMatrix& b);
-double MaxAbsDiff(const DenseMatrix& a, const ScoreStore& b);
-double MaxAbsDiff(const ScoreStore& a, const ScoreStore& b);
-double MaxAbsDiff(const ScoreStore::View& a, const DenseMatrix& b);
-double MaxAbsDiff(const ScoreStore::View& a, const ScoreStore::View& b);
+/// Largest |a - b| entry between a store or View and any row-readable
+/// matrix (shape-checked; NaN when any entry pair holds a NaN — see
+/// la::MaxAbsDiffRows).
+template <typename Table, typename B>
+double MaxAbsDiff(const ScoreRows<Table>& a, const B& b) {
+  return MaxAbsDiffRows(a, b);
+}
+template <typename Table>
+double MaxAbsDiff(const DenseMatrix& a, const ScoreRows<Table>& b) {
+  return MaxAbsDiffRows(a, b);
+}
 
 }  // namespace incsr::la
 

@@ -61,7 +61,7 @@ enum class EventId : std::uint16_t {
   kPublish = 5,
   /// Span: COW graph snapshot inside publish.
   kGraphSnapshot = 6,
-  /// Span: ScoreStore::Publish (row-pointer-table copy).
+  /// Span: ScoreStore::Publish (page-root copy).
   kStorePublish = 7,
   /// Span: tier + adaptive-capacity policies inside publish.
   kTierPolicy = 8,

@@ -1,6 +1,7 @@
 #include "service/simrank_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -9,26 +10,34 @@
 
 namespace incsr::service {
 
+namespace {
+
+// Shared by Create and CreateReplica; accepting form, so a NaN fails it.
+Status ValidateOptions(const ServiceOptions& options) {
+  if (options.queue_capacity == 0 || options.max_batch == 0) {
+    return Status::InvalidArgument("queue_capacity and max_batch must be >= 1");
+  }
+  const SparsityPolicy& sparse = options.sparse;
+  if (!(sparse.epsilon >= 0.0 && std::isfinite(sparse.epsilon) &&
+        sparse.max_density > 0.0 && sparse.max_density <= 1.0)) {
+    return Status::InvalidArgument(
+        "sparse.epsilon must be finite and >= 0, max_density in (0, 1]");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<SimRankService>> SimRankService::Create(
     core::DynamicSimRank index, const ServiceOptions& options) {
-  if (options.queue_capacity == 0) {
-    return Status::InvalidArgument("queue_capacity must be >= 1");
-  }
-  if (options.max_batch == 0) {
-    return Status::InvalidArgument("max_batch must be >= 1");
-  }
+  INCSR_RETURN_IF_ERROR(ValidateOptions(options));
   return std::unique_ptr<SimRankService>(
       new SimRankService(std::move(index), options, /*replica=*/false));
 }
 
 Result<std::unique_ptr<SimRankService>> SimRankService::CreateReplica(
     core::DynamicSimRank index, const ServiceOptions& options) {
-  if (options.queue_capacity == 0) {
-    return Status::InvalidArgument("queue_capacity must be >= 1");
-  }
-  if (options.max_batch == 0) {
-    return Status::InvalidArgument("max_batch must be >= 1");
-  }
+  INCSR_RETURN_IF_ERROR(ValidateOptions(options));
   return std::unique_ptr<SimRankService>(
       new SimRankService(std::move(index), options, /*replica=*/true));
 }
@@ -60,7 +69,7 @@ SimRankService::SimRankService(core::DynamicSimRank index,
   // bytes (keep sets are empty on purpose — entries do not exist yet).
   if (tiering_) ApplyTierPolicy(/*all_touched=*/true);
   initial->graph = index_.SnapshotGraph();
-  // Pointer-table bump, not a matrix copy; marks every row shared so the
+  // Page-root copy, not a matrix copy; ends the writer's ownership so the
   // first batch copy-on-writes exactly the rows it touches.
   initial->scores = index_.mutable_score_store()->Publish();
   // Initial index build is the one full O(n² log c) pass; every later
@@ -387,7 +396,7 @@ std::uint64_t SimRankService::Publish() {
   TRACE_SCOPE(kPublish);
   // Storage policies run FIRST, before the touched-row capture: a row the
   // tier policy re-represents records itself into the store's touched
-  // delta (shared→unshared transition), so the one re-rank + invalidation
+  // delta (a replaced unowned block), so the one re-rank + invalidation
   // pass below covers batch rows and re-tiered rows alike — and the index
   // entries it rebuilds rank the FINAL (post-sparsification) bytes.
   std::vector<std::int32_t> rerank_extra;
@@ -417,8 +426,8 @@ std::uint64_t SimRankService::Publish() {
     // the spurious cache invalidation is one extra miss).
     touched.insert(touched.end(), rerank_extra.begin(), rerank_extra.end());
   }
-  // O(rows touched): the batch's writes already COW-cloned exactly the
-  // affected rows; publishing is a row-pointer-table copy.
+  // The batch's writes already COW-cloned exactly the affected rows and
+  // their pages; publishing copies ⌈n/256⌉ page pointers.
   {
     TRACE_SCOPE(kStorePublish);
     next->scores = index_.mutable_score_store()->Publish();

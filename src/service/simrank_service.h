@@ -13,10 +13,12 @@
 //
 //   2. Epoch snapshots: after each batch the applier publishes an immutable
 //      EpochSnapshot via shared_ptr swap. S is NOT copied: the snapshot
-//      holds a la::ScoreStore::View — a pinned row-pointer table over the
-//      index's copy-on-write score store — so publishing costs O(rows the
-//      batch touched), not O(n²). The applier's next writes COW exactly
-//      the touched rows; a pinned snapshot stays byte-stable forever.
+//      holds a pinned page root over the paged copy-on-write score store
+//      (common/cow_table.h), as do the graph and top-k index: each publish
+//      copies ⌈n/256⌉ pointers, and the writes clone one 256-pointer page
+//      per touched page plus the touched rows, so an epoch costs O(rows
+//      touched · 256 + n/256), not O(n²). A pinned snapshot stays
+//      byte-stable forever.
 //      Readers pin a snapshot with one pointer copy under a short mutex —
 //      they never block behind an in-flight update and can never observe
 //      a torn S.
@@ -173,9 +175,7 @@ class TrafficSketch {
 
 /// Counter snapshot of service activity, declared as one field table
 /// (obs/stats_schema.h). The table order is also the wire order of the
-/// StatsResponse field list; a hostile-input test in net_wire_test finds
-/// queue_wait_ns by its offset from the end of the body, so queue_wait_ns,
-/// queue_depth and batches stay the last three rows. Everything the
+/// StatsResponse field list, which decoders match by name. Everything the
 /// applier writes is counted in an applier-private copy that each publish
 /// freezes into its EpochSnapshot; stats() overlays the reader- and
 /// submitter-side fields.
@@ -249,14 +249,14 @@ struct ServiceStats {
 
 /// Immutable published state; readers hold it via shared_ptr, so a pinned
 /// snapshot stays valid (and unchanging) while newer epochs are published.
-/// `scores` is a copy-on-write view: publishing it cost O(rows touched by
-/// the batch), and its bytes never change while the snapshot is pinned.
+/// `scores` is a copy-on-write view: publishing it copied ⌈n/256⌉ page
+/// pointers, and its bytes never change while the snapshot is pinned.
 struct EpochSnapshot {
   std::uint64_t epoch = 0;
-  /// Copy-on-write adjacency view: publishing costs O(n) pointer copies,
-  /// and the applier's next writes clone only the nodes they touch
-  /// (graph::DynamicDiGraph::Snapshot) — not the former per-epoch O(n+m)
-  /// deep graph copy.
+  /// Copy-on-write adjacency view: publishing costs ⌈n/256⌉ page pointer
+  /// copies, and the applier's next writes clone only the pages and nodes
+  /// they touch (graph::DynamicDiGraph::Snapshot) — not the former
+  /// per-epoch O(n+m) deep graph copy.
   graph::DynamicDiGraph::View graph;
   la::ScoreStore::View scores;
   /// Per-node top-k candidate index of this epoch (empty when disabled);

@@ -33,7 +33,7 @@ bool TopKIndex::View::Serve(graph::NodeId query, std::size_t k,
                             std::vector<core::ScoredPair>* out) const {
   const auto q = static_cast<std::size_t>(query);
   if (q >= entries_.size()) return false;  // disabled view or foreign id
-  const Entry& entry = *entries_[q];
+  const Entry& entry = entries_[q];
   // Underfull: the entry holds fewer than k candidates AND fewer than the
   // n-1 that exist, so the row may hold better candidates than stored.
   if (k > entry.items.size() && entry.items.size() + 1 < entries_.size()) {
@@ -46,7 +46,7 @@ bool TopKIndex::View::Serve(graph::NodeId query, std::size_t k,
 
 bool TopKIndex::View::ServePairs(std::size_t k,
                                  std::vector<core::ScoredPair>* out) const {
-  if (entries_.empty()) return false;  // index disabled
+  if (empty()) return false;  // index disabled
   const std::size_t n = entries_.size();
   // A pair {a, b} absent from BOTH rows' entries is outranked by every
   // stored candidate of both rows, so its score is at most the last-item
@@ -57,7 +57,7 @@ bool TopKIndex::View::ServePairs(std::size_t k,
   double bound = -std::numeric_limits<double>::infinity();
   bool any_incomplete = false;
   for (std::size_t q = 0; q < n; ++q) {
-    const Entry& entry = *entries_[q];
+    const Entry& entry = entries_[q];
     if (entry.items.size() + 1 >= n) continue;  // complete row
     if (entry.items.empty()) return false;      // nothing to bound with
     any_incomplete = true;
@@ -81,7 +81,7 @@ bool TopKIndex::View::ServePairs(std::size_t k,
   std::priority_queue<Cursor, std::vector<Cursor>, decltype(pops_later)>
       heap(pops_later);
   for (std::size_t q = 0; q < n; ++q) {
-    const Entry& entry = *entries_[q];
+    const Entry& entry = entries_[q];
     const std::size_t first = NextUpperTriangle(entry, 0);
     if (first < entry.items.size()) {
       heap.push({entry.items[first], q, first});
@@ -99,7 +99,7 @@ bool TopKIndex::View::ServePairs(std::size_t k,
       return false;
     }
     out->push_back(top.pair);
-    const Entry& entry = *entries_[top.row];
+    const Entry& entry = entries_[top.row];
     const std::size_t next = NextUpperTriangle(entry, top.index + 1);
     if (next < entry.items.size()) {
       heap.push({entry.items[next], top.row, next});
@@ -128,7 +128,7 @@ std::size_t TopKIndex::SetNodeCapacity(std::size_t row, std::size_t capacity) {
       std::clamp(capacity, floor, capacity_ * 2);
   if (caps_.empty()) caps_.assign(entries_.size(), static_cast<std::uint32_t>(capacity_));
   caps_[row] = static_cast<std::uint32_t>(clamped);
-  const std::shared_ptr<const Entry>& entry = entries_[row];
+  const std::shared_ptr<const Entry>& entry = entries_.slot(row);
   if (entry != nullptr && entry->items.size() > clamped) {
     // Shrink by prefix truncation: the entry is the contract-ordered
     // top-|items| of its row, so its first `clamped` items are exactly the
@@ -136,14 +136,14 @@ std::size_t TopKIndex::SetNodeCapacity(std::size_t row, std::size_t capacity) {
     auto truncated = std::make_shared<Entry>();
     truncated->items.assign(entry->items.begin(),
                             entry->items.begin() + clamped);
-    entries_[row] = std::move(truncated);
+    entries_.Set(row, std::move(truncated));
   }
   return clamped;
 }
 
 std::span<const core::ScoredPair> TopKIndex::EntryItems(std::size_t row) const {
-  if (row >= entries_.size() || entries_[row] == nullptr) return {};
-  return entries_[row]->items;
+  if (row >= entries_.size() || entries_.slot(row) == nullptr) return {};
+  return entries_[row].items;
 }
 
 std::shared_ptr<const TopKIndex::Entry> TopKIndex::BuildEntry(
@@ -166,26 +166,26 @@ void TopKIndex::RebuildRows(const la::ScoreStore& scores,
               "TopKIndex geometry mismatch: %zu entries for %zu rows",
               entries_.size(), scores.rows());
   for (std::int32_t row : rows) {
-    entries_[static_cast<std::size_t>(row)] = BuildEntry(
-        scores, static_cast<std::size_t>(row));
+    entries_.Set(static_cast<std::size_t>(row),
+                 BuildEntry(scores, static_cast<std::size_t>(row)));
   }
 }
 
 void TopKIndex::RebuildAll(const la::ScoreStore& scores) {
   if (capacity_ == 0) return;
   TRACE_SCOPE_ARG(kRerank, scores.rows());
-  entries_.resize(scores.rows());
+  entries_.Resize(scores.rows(), nullptr);
   if (!caps_.empty()) {
     caps_.resize(entries_.size(), static_cast<std::uint32_t>(capacity_));
   }
   for (std::size_t row = 0; row < entries_.size(); ++row) {
-    entries_[row] = BuildEntry(scores, row);
+    entries_.Set(row, BuildEntry(scores, row));
   }
 }
 
-TopKIndex::View TopKIndex::Publish() const {
+TopKIndex::View TopKIndex::Publish() {
   View view;
-  view.entries_ = entries_;  // O(n) pointer copies — the whole cost
+  view.entries_ = entries_.Publish();  // ⌈n/256⌉ page pointers
   return view;
 }
 

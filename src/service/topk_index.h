@@ -24,12 +24,12 @@
 //     incomplete entry ("underfull") falls back to the full row scan; the
 //     service counts both outcomes (ServiceStats::topk_index_*).
 //
-// Publishing mirrors la::ScoreStore: entries are immutable shared_ptrs
-// behind a table; Publish() copies the table (O(n) pointer bumps, no
-// payload) into a View that rides inside the EpochSnapshot, so a reader
-// always sees the index state matching its pinned scores. One writer
-// (the applier) mutates; readers only touch Views obtained through the
-// snapshot's synchronizing handoff — TSan-clean by design, like the store.
+// Entries sit in a paged copy-on-write table like la::ScoreStore's rows
+// (common/cow_table.h); Publish() copies its page root (⌈n/256⌉ pointers)
+// into a View that rides inside the EpochSnapshot, so a reader always sees
+// the index state matching its pinned scores. One writer (the applier)
+// mutates; readers only touch Views obtained through the snapshot's
+// synchronizing handoff — TSan-clean by design, like the store.
 #ifndef INCSR_SERVICE_TOPK_INDEX_H_
 #define INCSR_SERVICE_TOPK_INDEX_H_
 
@@ -38,6 +38,7 @@
 #include <span>
 #include <vector>
 
+#include "common/cow_table.h"
 #include "core/dynamic_simrank.h"
 #include "graph/digraph.h"
 #include "la/score_store.h"
@@ -53,7 +54,7 @@ class TopKIndex {
     std::vector<core::ScoredPair> items;
   };
 
-  /// Immutable snapshot of the entry table; copying shares the entries.
+  /// Immutable snapshot of the entry table; copying shares the pages.
   /// Reads are valid and stable for the View's lifetime.
   class View {
    public:
@@ -61,7 +62,7 @@ class TopKIndex {
 
     /// Node count of the indexed matrix (0 for a disabled/empty view).
     std::size_t rows() const { return entries_.size(); }
-    bool empty() const { return entries_.empty(); }
+    bool empty() const { return entries_.size() == 0; }
 
     /// Serves TopKFor(query, k) when the entry provably holds the whole
     /// answer: k <= |items|, or the entry is complete (|items| = n-1, so
@@ -90,7 +91,7 @@ class TopKIndex {
 
    private:
     friend class TopKIndex;
-    std::vector<std::shared_ptr<const Entry>> entries_;
+    CowTable<Entry>::Snapshot entries_;
   };
 
   /// `capacity` bounds candidates per node; 0 disables the index: Rebuild*
@@ -136,9 +137,9 @@ class TopKIndex {
   /// thread only.
   void RebuildAll(const la::ScoreStore& scores);
 
-  /// Snapshots the entry table for an epoch: O(n) shared_ptr copies, no
-  /// payload. Writer thread only.
-  View Publish() const;
+  /// Snapshots the entry table for an epoch: copies the page root,
+  /// O(⌈n/256⌉) pointers, no entries. Writer thread only.
+  View Publish();
 
  private:
   std::shared_ptr<const Entry> BuildEntry(const la::ScoreStore& scores,
@@ -146,7 +147,7 @@ class TopKIndex {
 
   const std::size_t capacity_;
   std::uint64_t rows_reranked_ = 0;
-  std::vector<std::shared_ptr<const Entry>> entries_;
+  CowTable<Entry> entries_;
   // Per-node capacity overrides; empty until the first SetNodeCapacity
   // (the common all-default case pays nothing).
   std::vector<std::uint32_t> caps_;

@@ -300,13 +300,33 @@ TEST(WireHostileInput, StatsHistogramRejectsMalformedBucketLists) {
     StatsResponse out;
     ASSERT_TRUE(StatsResponse::DecodeBody(body, &out));  // baseline sane
   }
-  // The queue_wait histogram tail: sum/min/max (24 B) + nonzero (4 B) +
-  // two (u8, u64) pairs; apply_ns (empty) follows as 28 B of zeros, then
-  // the v5 write-path counters (2 × u64) close the body.
-  const std::size_t v5_tail = 8 * 2;
-  const std::size_t apply_bytes = 8 * 3 + 4;
-  const std::size_t pairs_at = body.size() - v5_tail - apply_bytes - 2 * 9;
-  const std::size_t nonzero_at = pairs_at - 4;
+  // Find the queue_wait_ns payload by walking the field list (status,
+  // num_nodes, num_edges, is_replica, count, then name/payload fields; see
+  // docs/wire_protocol.md). Its hist is sum/min/max (24 B), nonzero (4 B),
+  // then two (u8 index, u64 count) pairs.
+  Reader reader(std::string_view{body});
+  std::uint8_t u8 = 0;
+  std::uint64_t u64 = 0;
+  std::uint32_t count = 0;
+  ASSERT_TRUE(reader.U8(&u8) && reader.U64(&u64) && reader.U64(&u64) &&
+              reader.U8(&u8) && reader.U32(&count));
+  std::size_t payload_at = 0;
+  for (std::uint32_t i = 0; i < count && payload_at == 0; ++i) {
+    std::uint8_t name_size = 0;
+    std::string_view name;
+    std::uint32_t payload_size = 0;
+    std::string_view payload;
+    ASSERT_TRUE(reader.U8(&name_size) && reader.Bytes(name_size, &name) &&
+                reader.U32(&payload_size) &&
+                reader.Bytes(payload_size, &payload));
+    if (name == "queue_wait_ns") {
+      ASSERT_EQ(payload_size, 8 * 3 + 4 + 2 * 9);
+      payload_at = static_cast<std::size_t>(payload.data() - body.data());
+    }
+  }
+  ASSERT_NE(payload_at, 0u) << "queue_wait_ns not in the field list";
+  const std::size_t nonzero_at = payload_at + 8 * 3;
+  const std::size_t pairs_at = nonzero_at + 4;
 
   // Bucket count claiming more buckets than exist: rejected (and the
   // Reader's bounds check keeps the pair loop from over-reading).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/dynamic_simrank.h"
@@ -166,6 +167,8 @@ TEST(FacadeProperties, CoalescedBatchRequiresIncSrMode) {
 TEST(FacadeProperties, CreateValidatesOptions) {
   SimRankOptions bad;
   bad.damping = 1.5;
+  EXPECT_FALSE(DynamicSimRank::Create(DynamicDiGraph(3), bad).ok());
+  bad.damping = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(DynamicSimRank::Create(DynamicDiGraph(3), bad).ok());
   bad.damping = 0.6;
   bad.iterations = 0;

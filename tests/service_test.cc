@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -67,6 +68,40 @@ TEST(SimRankService, CreateRejectsBadOptions) {
   bad.queue_capacity = 0;
   EXPECT_EQ(SimRankService::Create(std::move(index).value(), bad).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(SimRankService, CreateAndCreateReplicaRejectBadSparsityPolicies) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double epsilon;
+    double max_density;
+  } cases[] = {{nan, 0.5},  {inf, 0.5}, {-1e-9, 0.5}, {0.0, nan},
+               {0.0, 0.0},  {0.0, 1.5}, {0.0, -0.5},  {0.0, inf}};
+  for (const auto& c : cases) {
+    ServiceOptions bad;
+    bad.sparse.enabled = true;
+    bad.sparse.epsilon = c.epsilon;
+    bad.sparse.max_density = c.max_density;
+    for (bool replica : {false, true}) {
+      auto index = DynamicSimRank::Create(TestGraph(), Converged());
+      ASSERT_TRUE(index.ok());
+      auto service =
+          replica ? SimRankService::CreateReplica(std::move(index).value(), bad)
+                  : SimRankService::Create(std::move(index).value(), bad);
+      EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument)
+          << "epsilon " << c.epsilon << ", max_density " << c.max_density
+          << ", replica " << replica;
+    }
+  }
+  // The closed ends of both ranges are valid.
+  ServiceOptions edge;
+  edge.sparse.enabled = true;
+  edge.sparse.epsilon = 0.0;
+  edge.sparse.max_density = 1.0;
+  auto index = DynamicSimRank::Create(TestGraph(), Converged());
+  ASSERT_TRUE(index.ok());
+  EXPECT_TRUE(SimRankService::Create(std::move(index).value(), edge).ok());
 }
 
 TEST(SimRankService, ServesInitialEpochBeforeAnyUpdate) {

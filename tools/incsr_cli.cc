@@ -57,6 +57,7 @@
 #include <concepts>
 #include <csignal>
 #include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -105,6 +106,20 @@ void PrintUsage(const char* prog) {
       prog, prog, prog, prog, prog);
 }
 
+// Parses a flag's value as a finite double: the whole argument must be
+// consumed, and NaN/inf are rejected here rather than deep in a library.
+Result<double> ParseFiniteDouble(const std::string& flag,
+                                 const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return Status::InvalidArgument("flag " + flag +
+                                   " needs a finite number, got '" + text +
+                                   "'");
+  }
+  return value;
+}
+
 Result<CliOptions> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing edge list path");
   CliOptions options;
@@ -132,7 +147,9 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (flag == "--damping") {
       auto v = next();
       if (!v.ok()) return v.status();
-      options.damping = std::atof(v->c_str());
+      auto d = ParseFiniteDouble(flag, *v);
+      if (!d.ok()) return d.status();
+      options.damping = *d;
     } else if (flag == "--iterations") {
       auto v = next();
       if (!v.ok()) return v.status();
@@ -308,21 +325,23 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
     } else if (flag == "--sparse-eps") {
       auto v = next();
       if (!v.ok()) return v.status();
-      const double eps = std::atof(v->c_str());
-      if (eps < 0.0) {
+      auto eps = ParseFiniteDouble(flag, *v);
+      if (!eps.ok()) return eps.status();
+      if (!(*eps >= 0.0)) {
         return Status::InvalidArgument("--sparse-eps must be >= 0");
       }
       options.service.sparse.enabled = true;
-      options.service.sparse.epsilon = eps;
+      options.service.sparse.epsilon = *eps;
     } else if (flag == "--sparse-max-density") {
       auto v = next();
       if (!v.ok()) return v.status();
-      const double density = std::atof(v->c_str());
-      if (density <= 0.0 || density > 1.0) {
+      auto density = ParseFiniteDouble(flag, *v);
+      if (!density.ok()) return density.status();
+      if (!(*density > 0.0 && *density <= 1.0)) {
         return Status::InvalidArgument(
             "--sparse-max-density must be in (0, 1]");
       }
-      options.service.sparse.max_density = density;
+      options.service.sparse.max_density = *density;
     } else if (flag == "--sparse-scan-rows") {
       auto v = next_size();
       if (!v.ok()) return v.status();
@@ -342,7 +361,9 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
     } else if (flag == "--damping") {
       auto v = next();
       if (!v.ok()) return v.status();
-      options.damping = std::atof(v->c_str());
+      auto d = ParseFiniteDouble(flag, *v);
+      if (!d.ok()) return d.status();
+      options.damping = *d;
     } else if (flag == "--iterations") {
       auto v = next();
       if (!v.ok()) return v.status();
