@@ -28,8 +28,6 @@ double AffectedAreaStats::PrunedFraction() const {
 void AffectedAreaStats::Merge(const AffectedAreaStats& other) {
   a_sizes.insert(a_sizes.end(), other.a_sizes.begin(), other.a_sizes.end());
   b_sizes.insert(b_sizes.end(), other.b_sizes.begin(), other.b_sizes.end());
-  touched_nodes.insert(touched_nodes.end(), other.touched_nodes.begin(),
-                       other.touched_nodes.end());
   num_nodes = other.num_nodes > num_nodes ? other.num_nodes : num_nodes;
 }
 

@@ -6,7 +6,6 @@
 #define INCSR_CORE_AFFECTED_AREA_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace incsr::core {
@@ -18,12 +17,6 @@ struct AffectedAreaStats {
   std::vector<std::size_t> a_sizes;
   /// |B_k| per iteration k = 0..K (column support).
   std::vector<std::size_t> b_sizes;
-  /// Union of ∪_k (A_k ∪ B_k): every node whose S row/column the update
-  /// may have changed (ΔS is supported on ∪_k A_k×B_k plus its transpose).
-  /// Deduplicated and sorted within one update; Merge concatenates, so a
-  /// node can appear once per merged update. This is what the serving
-  /// layer's query cache keys its selective invalidation on.
-  std::vector<std::int32_t> touched_nodes;
   /// Node count n of the graph the update ran on.
   std::size_t num_nodes = 0;
 

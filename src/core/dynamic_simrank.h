@@ -99,21 +99,71 @@ std::vector<ScoredPair> TopKPairsOf(const SLike& s, std::size_t k) {
 /// Top-k most similar nodes to `query` (excluding itself) read off row
 /// `query` of `s`. Same ordering contract as TopKPairsOf: descending
 /// score, ties broken by ascending node id — required for
-/// shard-count-invariant results. Bounded min-heap: O(n log k).
+/// shard-count-invariant results. Bounded min-heap over the k best seen
+/// so far. A dense row is scanned whole: O(n log k). A sparse row of a
+/// la::ScoreStore or View is read through ForEachStored: the heap runs
+/// over its stored entries, then the columns it does not store (+0.0)
+/// are offered in ascending id order until the first one that does not
+/// enter — every later one ties it on score and loses on id. That is
+/// O(nnz log k + k log k), and the result is bitwise the dense scan's:
+/// both select the same prefix of one strict total order over the same
+/// values.
 template <typename SLike>
 std::vector<ScoredPair> TopKForOf(const SLike& s, graph::NodeId query,
                                   std::size_t k) {
   const std::size_t n = s.rows();
   const std::size_t q = static_cast<std::size_t>(query);
-  la::Vector scratch;
-  const double* row = s.ReadRow(q, &scratch);
-  // Bounded min-heap over the k best seen so far: O(n log k) instead of
-  // the former full materialize-and-sort — this is the hot read path the
-  // serving layer multiplies by every query. Every candidate shares the
-  // same `a` (= query), so the shared order reduces to ascending b ties.
-  const auto cmp = &ScoredPairRanksBefore;
+  // Every candidate shares the same `a` (= query), so the shared order
+  // reduces to ascending b ties. The comparator is stateless so the heap
+  // operations inline it; a function pointer cost 1.7× per dense row.
+  const auto cmp = [](const ScoredPair& x, const ScoredPair& y) {
+    return ScoredPairRanksBefore(x, y);
+  };
   std::vector<ScoredPair> heap;
   heap.reserve(std::min(k, n));
+  // Offers column b; true when it entered the heap.
+  const auto offer = [&](std::size_t b, double score) {
+    const ScoredPair cand{query, static_cast<graph::NodeId>(b), score};
+    if (heap.size() < k) {
+      heap.push_back(cand);
+      std::push_heap(heap.begin(), heap.end(), cmp);
+      return true;
+    }
+    if (heap.empty() || !cmp(cand, heap.front())) return false;
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    heap.back() = cand;
+    std::push_heap(heap.begin(), heap.end(), cmp);
+    return true;
+  };
+  if constexpr (requires { s.RowIsSparse(q); }) {
+    if (s.RowIsSparse(q)) {
+      s.ForEachStored(q, [&](std::size_t b, double v) {
+        if (b != q) offer(b, v);
+      });
+      // A +0.0 candidate can still enter only while the heap has room or
+      // its worst item does not score above zero.
+      if (heap.size() < k || (k > 0 && !(heap.front().score > 0.0))) {
+        std::size_t next = 0;  // lowest column not yet offered or stored
+        bool open = true;
+        const auto offer_zeros_below = [&](std::size_t end) {
+          for (; open && next < end; ++next) {
+            if (next != q && !offer(next, 0.0)) open = false;
+          }
+        };
+        s.ForEachStored(q, [&](std::size_t b, double) {
+          offer_zeros_below(b);
+          next = b + 1;
+        });
+        offer_zeros_below(n);
+      }
+      std::sort_heap(heap.begin(), heap.end(), cmp);
+      return heap;
+    }
+  }
+  // The dense scan stays inline: routing it through `offer` measured about
+  // 6 % slower per row at n = 2048.
+  la::Vector scratch;
+  const double* row = s.ReadRow(q, &scratch);
   for (std::size_t b = 0; b < n; ++b) {
     if (b == q) continue;
     ScoredPair cand{query, static_cast<graph::NodeId>(b), row[b]};
@@ -216,17 +266,17 @@ class DynamicSimRank {
 
   /// Merged affected-area statistics of the last ApplyBatch /
   /// ApplyBatchCoalesced call (one Merge per unit update / coalesced
-  /// group). `touched_nodes` spans the whole batch. Empty for Inc-uSR.
+  /// group). Empty for Inc-uSR.
   const AffectedAreaStats& last_batch_stats() const { return batch_stats_; }
 
   // ---- Touched-row delta surface (serving layer) -------------------------
   // Ground truth of which rows of S changed since the score store's last
   // Publish(): the rows the update kernels actually wrote (their COW
-  // clones), not the analytic affected-area superset of
-  // last_batch_stats().touched_nodes. Exact for EVERY algorithm — Inc-SR,
-  // coalesced batches, and Inc-uSR's dense scatter (all rows) alike — and
-  // duplicate-free, so the serving layer re-ranks its per-node top-k index
-  // and invalidates its query cache from exactly this set per epoch.
+  // clones), not the analytic affected-area superset ∪ₖ (Aₖ ∪ Bₖ). Exact
+  // for EVERY algorithm — Inc-SR, coalesced batches, and Inc-uSR's dense
+  // scatter (all rows) alike — and duplicate-free, so the serving layer
+  // re-ranks its per-node top-k index and invalidates its query cache from
+  // exactly this set per epoch.
 
   /// True when every row must be assumed changed (fresh index, AddNode's
   /// store growth) — callers should rebuild rather than patch.

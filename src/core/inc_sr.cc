@@ -52,6 +52,20 @@ void IncSrEngine::Workspace::Accumulate(std::int32_t index, double delta) {
   values[i] += delta;
 }
 
+void IncSrEngine::Workspace::AddDenseRow(double coeff, const double* row,
+                                         std::size_t n) {
+  if (indices.size() < n) {  // not every index touched yet
+    for (std::size_t y = 0; y < n; ++y) {
+      if (!seen[y]) {
+        seen[y] = 1;
+        indices.push_back(static_cast<std::int32_t>(y));
+      }
+    }
+  }
+  double* __restrict acc = values.data();
+  for (std::size_t y = 0; y < n; ++y) acc[y] += coeff * row[y];
+}
+
 void IncSrEngine::Workspace::MergeFrom(const Workspace& other) {
   for (std::int32_t idx : other.indices) {
     Accumulate(idx, other.values[static_cast<std::size_t>(idx)]);
@@ -59,7 +73,17 @@ void IncSrEngine::Workspace::MergeFrom(const Workspace& other) {
 }
 
 void IncSrEngine::Workspace::SortIndices() {
-  std::sort(indices.begin(), indices.end());
+  // A support covering a good share of the index space is cheaper to read
+  // back off the membership flags, already ascending, than to sort.
+  if (indices.size() * 32 < seen.size()) {
+    std::sort(indices.begin(), indices.end());
+    return;
+  }
+  const std::size_t count = indices.size();
+  indices.clear();
+  for (std::size_t i = 0; indices.size() < count; ++i) {
+    if (seen[i]) indices.push_back(static_cast<std::int32_t>(i));
+  }
 }
 
 void IncSrEngine::RunChunkedExpansion(std::size_t count, std::size_t n,
@@ -91,6 +115,36 @@ void IncSrEngine::RunChunkedExpansion(std::size_t count, std::size_t n,
   }
 }
 
+void IncSrEngine::GatherNonzeros(const la::ScoreStore& s, std::size_t row) {
+  expand_sources_.clear();
+  expand_weights_.clear();
+  s.ForEachStored(row, [this](std::size_t col, double value) {
+    if (value == 0.0) return;  // a stored −0.0 is a zero too
+    expand_sources_.push_back(static_cast<std::int32_t>(col));
+    expand_weights_.push_back(value);
+  });
+}
+
+void IncSrEngine::MultiplyQGathered(const graph::DynamicDiGraph& graph,
+                                    std::size_t n, Workspace* out) {
+  RunChunkedExpansion(
+      expand_sources_.size(), n, kSparseExpandGrain,
+      [this, &graph](Workspace* ws, std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          const double weight = expand_weights_[k];
+          for (graph::NodeId a : graph.OutNeighbors(expand_sources_[k])) {
+            ws->Accumulate(a, weight);
+          }
+        }
+      },
+      out);
+  for (std::int32_t a : out->indices) {
+    const std::size_t deg = graph.InDegree(a);
+    INCSR_DCHECK(deg > 0, "node %d reached without in-edges", a);
+    out->values[static_cast<std::size_t>(a)] /= static_cast<double>(deg);
+  }
+}
+
 Status IncSrEngine::ComputeSparseSeed(const graph::EdgeUpdate& update,
                                       const graph::DynamicDiGraph& graph,
                                       const la::DynamicRowMatrix& q,
@@ -111,68 +165,45 @@ Status IncSrEngine::ComputeSparseSeed(const graph::EdgeUpdate& update,
   theta->Clear();
 
   // S is symmetric, so the columns [S]_{·,i} and [S]_{·,j} the seed needs
-  // are the CONTIGUOUS rows i and j: one ScoreStore row resolve per scan
-  // instead of n strided row probes. Caveat: ScatterOuter keeps S
+  // are rows i and j, read through their stored entries: O(nnz) on a
+  // sparse row instead of n probes. Caveat: ScatterOuter keeps S
   // symmetric only to rounding (entry (a,b) sums its two products in the
   // opposite order from (b,a)), so row-as-column can differ from the
   // true column in the last ulp — well inside the C^(K+1) accuracy
   // envelope, and deterministic: every run (any thread count, any shard
   // layout) reads the same bytes.
-  const double* si = s.ReadRow(i, &seed_row_i_);
-  const double* sj = s.ReadRow(j, &seed_row_j_);
+  const double s_ii = s(i, i);
+  const double s_jj = s(j, j);
 
   // w = Q·[S]_{·,i} on its support: only rows a reachable by one OLD-graph
   // hop from T = {y : [S]_{y,i} ≠ 0} can be nonzero (these out-neighbor
-  // hops are exactly the F₁ set of Eq. 38). Gather T first, then
-  // accumulate the raw in-sums chunk-parallel over the gathered sources
-  // (chunk geometry a function of |T| only — see the grain comment) and
-  // rescale by 1/|I(a)| afterwards.
-  expand_sources_.clear();
-  for (std::size_t y = 0; y < n; ++y) {
-    if (si[y] != 0.0) expand_sources_.push_back(static_cast<std::int32_t>(y));
-  }
-  RunChunkedExpansion(
-      expand_sources_.size(), n, kSparseExpandGrain,
-      [this, &graph, si](Workspace* ws, std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto y = static_cast<std::size_t>(expand_sources_[k]);
-          const double s_yi = si[y];
-          for (graph::NodeId a :
-               graph.OutNeighbors(static_cast<graph::NodeId>(y))) {
-            ws->Accumulate(a, s_yi);
-          }
-        }
-      },
-      theta);
-  for (std::int32_t a : theta->indices) {
-    const std::size_t deg = graph.InDegree(a);
-    INCSR_DCHECK(deg > 0, "node %d gained a w-entry without in-edges", a);
-    theta->values[static_cast<std::size_t>(a)] /= static_cast<double>(deg);
-  }
+  // hops are exactly the F₁ set of Eq. 38).
+  GatherNonzeros(s, i);
+  MultiplyQGathered(graph, n, theta);
   const double w_j = theta->seen[j] ? theta->values[j] : 0.0;
 
   const bool trivial_degree =
       (update.kind == graph::UpdateKind::kInsert && dj == 0) ||
       (update.kind == graph::UpdateKind::kDelete && dj == 1);
   const double gamma =
-      trivial_degree ? si[i]
-                     : si[i] + sj[j] / c - 2.0 * w_j - 1.0 / c + 1.0;
+      trivial_degree ? s_ii
+                     : s_ii + s_jj / c - 2.0 * w_j - 1.0 / c + 1.0;
 
   // Assemble θ in place over w (Eqs. 27-28), touching only B₀ =
-  // supp(w) ∪ supp([S]_{·,j}) ∪ {j}.
+  // supp(w) ∪ supp([S]_{·,j}) ∪ {j}; the [S]_{·,j} terms come in
+  // ascending y, nonzero entries only.
   if (update.kind == graph::UpdateKind::kInsert) {
     if (dj == 0) {
-      theta->Accumulate(update.dst, 0.5 * si[i]);
+      theta->Accumulate(update.dst, 0.5 * s_ii);
     } else {
       const double inv = 1.0 / static_cast<double>(dj + 1);
       for (std::int32_t idx : theta->indices) {
         theta->values[static_cast<std::size_t>(idx)] *= inv;
       }
-      for (std::size_t y = 0; y < n; ++y) {
-        const double s_yj = sj[y];
-        if (s_yj == 0.0) continue;
+      s.ForEachStored(j, [theta, inv, c](std::size_t y, double s_yj) {
+        if (s_yj == 0.0) return;
         theta->Accumulate(static_cast<std::int32_t>(y), -inv / c * s_yj);
-      }
+      });
       theta->Accumulate(update.dst,
                         inv * (0.5 * gamma * inv + 1.0 / c - 1.0));
     }
@@ -181,17 +212,16 @@ Status IncSrEngine::ComputeSparseSeed(const graph::EdgeUpdate& update,
       for (std::int32_t idx : theta->indices) {
         theta->values[static_cast<std::size_t>(idx)] *= -1.0;
       }
-      theta->Accumulate(update.dst, 0.5 * si[i]);
+      theta->Accumulate(update.dst, 0.5 * s_ii);
     } else {
       const double inv = 1.0 / static_cast<double>(dj - 1);
       for (std::int32_t idx : theta->indices) {
         theta->values[static_cast<std::size_t>(idx)] *= -inv;
       }
-      for (std::size_t y = 0; y < n; ++y) {
-        const double s_yj = sj[y];
-        if (s_yj == 0.0) continue;
+      s.ForEachStored(j, [theta, inv, c](std::size_t y, double s_yj) {
+        if (s_yj == 0.0) return;
         theta->Accumulate(static_cast<std::int32_t>(y), inv / c * s_yj);
-      }
+      });
       theta->Accumulate(update.dst,
                         inv * (0.5 * gamma * inv - 1.0 / c + 1.0));
     }
@@ -301,16 +331,6 @@ void IncSrEngine::ScatterOuter(const Workspace& xi, const Workspace& eta,
   }
 }
 
-void IncSrEngine::RecordTouched(const Workspace& ws) {
-  for (std::int32_t idx : ws.indices) {
-    const auto i = static_cast<std::size_t>(idx);
-    if (!touched_seen_[i]) {
-      touched_seen_[i] = 1;
-      stats_.touched_nodes.push_back(idx);
-    }
-  }
-}
-
 Status IncSrEngine::ApplyUpdate(const graph::EdgeUpdate& update,
                                 graph::DynamicDiGraph* graph,
                                 la::DynamicRowMatrix* q, la::ScoreStore* s) {
@@ -353,9 +373,6 @@ void IncSrEngine::RunPrunedIterations(graph::NodeId target,
   stats_.num_nodes = n;
   stats_.a_sizes.push_back(xi_.indices.size());
   stats_.b_sizes.push_back(eta_.indices.size());
-  touched_seen_.assign(n, 0);
-  RecordTouched(xi_);
-  RecordTouched(eta_);
   ScatterOuter(xi_, eta_, s);
 
   for (int k = 0; k < options_.iterations; ++k) {
@@ -365,11 +382,8 @@ void IncSrEngine::RunPrunedIterations(graph::NodeId target,
     std::swap(eta_, eta_next_);
     stats_.a_sizes.push_back(xi_.indices.size());
     stats_.b_sizes.push_back(eta_.indices.size());
-    RecordTouched(xi_);
-    RecordTouched(eta_);
     ScatterOuter(xi_, eta_, s);
   }
-  std::sort(stats_.touched_nodes.begin(), stats_.touched_nodes.end());
 }
 
 Status IncSrEngine::ApplyRowUpdate(graph::NodeId target,
@@ -456,65 +470,48 @@ Status IncSrEngine::ApplyRowUpdate(graph::NodeId target,
 
   // Generalized Theorem 2 seed with u = e_target:
   //   z = S·v, γ = vᵀ·z, y = Q_old·z, θ = w = y + (γ/2)·e_target.
-  // z via symmetric rows of S (contiguous reads): z = Σ coeff·S_{c,·},
-  // column-parallel — every z entry keeps the serial k-order, so any
-  // partition is bitwise identical.
-  la::Vector z(n);
-  {
-    // Source rows are resolved serially up front: ReadRow may gather a
-    // sparse-backed row into its scratch, which is a write and therefore
-    // writer-thread-only — workers then stream from stable pointers.
-    if (read_gather_.size() < v.nnz()) read_gather_.resize(v.nnz());
-    read_ptrs_.resize(v.nnz());
-    for (std::size_t k = 0; k < v.nnz(); ++k) {
-      read_ptrs_[k] = s->ReadRow(static_cast<std::size_t>(v.indices()[k]),
-                                 &read_gather_[k]);
+  // z via symmetric rows of S: z = Σₖ vₖ·S_{cₖ,·}, accumulated over each
+  // row's stored entries in v order. A skipped entry is +0.0: its product
+  // would only add ±0.0 to an accumulator that starts at +0.0 and so is
+  // never −0.0, which leaves it unchanged. So every z entry keeps the bits
+  // of the full dense sum, at O(Σₖ nnz) instead of O(|v|·n); a dense row
+  // streams whole, which is the same sum and vectorizes.
+  z_.EnsureSize(n);
+  z_.Clear();
+  for (std::size_t k = 0; k < v.nnz(); ++k) {
+    const double coeff = v.values()[k];
+    const auto row = static_cast<std::size_t>(v.indices()[k]);
+    if (s->RowIsSparse(row)) {
+      s->ForEachStored(row, [this, coeff](std::size_t col, double value) {
+        z_.Accumulate(static_cast<std::int32_t>(col), coeff * value);
+      });
+    } else {
+      la::Vector unused;  // ReadRow gathers into it only for sparse rows
+      z_.AddDenseRow(coeff, s->ReadRow(row, &unused), n);
     }
-    double* zp = z.data();
-    const double* const* rows = read_ptrs_.data();
-    Scheduler::Global().ParallelFor(
-        0, n, /*grain=*/2048, threads_,
-        [&v, rows, zp](std::size_t lo, std::size_t hi) {
-          for (std::size_t k = 0; k < v.nnz(); ++k) {
-            const double coeff = v.values()[k];
-            const double* __restrict row = rows[k];
-            for (std::size_t y = lo; y < hi; ++y) zp[y] += coeff * row[y];
-          }
-        });
   }
-  const double gamma = v.DotDense(z);
+  z_.SortIndices();
+  double gamma = 0.0;  // vᵀz, summed in v order
+  for (std::size_t k = 0; k < v.nnz(); ++k) {
+    gamma += v.values()[k] *
+             z_.values[static_cast<std::size_t>(v.indices()[k])];
+  }
 
-  // y = Q_old·z on its support: gather supp(z), then expand it through the
-  // out-neighbors (chunk geometry a function of |supp(z)| only). The graph
-  // still holds the OLD adjacency here, so the expansion and the
-  // in-degrees are the old ones, matching Q_old.
+  // y = Q_old·z on its support: supp(z) in ascending order, exact zeros
+  // dropped, expanded through the out-neighbors. The graph still holds the
+  // OLD adjacency here, so the expansion and the in-degrees are the old
+  // ones, matching Q_old.
+  expand_sources_.clear();
+  expand_weights_.clear();
+  for (std::int32_t col : z_.indices) {
+    const double value = z_.values[static_cast<std::size_t>(col)];
+    if (value == 0.0) continue;
+    expand_sources_.push_back(col);
+    expand_weights_.push_back(value);
+  }
   eta_.EnsureSize(n);
   eta_.Clear();
-  {
-    const double* zp = z.data();
-    const graph::DynamicDiGraph* g = graph;
-    expand_sources_.clear();
-    for (std::size_t c = 0; c < n; ++c) {
-      if (zp[c] != 0.0) expand_sources_.push_back(static_cast<std::int32_t>(c));
-    }
-    RunChunkedExpansion(
-        expand_sources_.size(), n, kSparseExpandGrain,
-        [this, g, zp](Workspace* ws, std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            const auto c = static_cast<std::size_t>(expand_sources_[k]);
-            for (graph::NodeId a :
-                 g->OutNeighbors(static_cast<graph::NodeId>(c))) {
-              ws->Accumulate(a, zp[c]);
-            }
-          }
-        },
-        &eta_);
-  }
-  for (std::int32_t a : eta_.indices) {
-    const std::size_t deg = graph->InDegree(a);
-    INCSR_DCHECK(deg > 0, "node %d reached without in-edges", a);
-    eta_.values[static_cast<std::size_t>(a)] /= static_cast<double>(deg);
-  }
+  MultiplyQGathered(*graph, n, &eta_);
   eta_.Accumulate(target, 0.5 * gamma);
   eta_.SortIndices();
 

@@ -9,7 +9,10 @@
 //
 // The seed θ is likewise computed on its support only (Algorithm 2 line 3:
 // B₀ = F₁ ∪ F₂ ∪ {j} of Eqs. 38-39), using the OLD graph's out-neighbors
-// of the nodes similar to i, at cost O(n + d·|B₀|) instead of O(m).
+// of the nodes similar to i. It reads rows i and j of S through their
+// stored entries (la::ScoreRows::ForEachStored), so it costs
+// O(nnz([S]_{·,i}) + nnz([S]_{·,j}) + d·|B₀|) on sparse rows — O(n + d·|B₀|)
+// on dense ones — instead of O(m).
 #ifndef INCSR_CORE_INC_SR_H_
 #define INCSR_CORE_INC_SR_H_
 
@@ -34,7 +37,8 @@ namespace incsr::core {
 /// matrix; its scratch buffers are recycled across updates so steady-state
 /// unit updates allocate nothing of O(n).
 ///
-/// S is a la::ScoreStore, read through ReadRow and written only through
+/// S is a la::ScoreStore, read through its stored entries
+/// (la::ScoreRows::ForEachStored) and written only through
 /// per-row la::RowWriter sessions, opened just for the rows the engine
 /// scatters into (so a publish pays COW for O(affected rows) only).
 /// The hot loops — seed scan, support expansion, outer-product scatter —
@@ -83,6 +87,11 @@ class IncSrEngine {
     void EnsureSize(std::size_t n);
     void Clear();  // resets touched entries only — O(nnz)
     void Accumulate(std::int32_t index, double delta);
+    /// values += coeff·row over all n entries of a dense row, marking
+    /// every index touched. Same bits as accumulating only the entries
+    /// that are not +0.0: a +0.0 term leaves a sum started at +0.0
+    /// unchanged. Vectorizes where the per-entry path cannot.
+    void AddDenseRow(double coeff, const double* row, std::size_t n);
     /// Accumulates every entry of `other` (chunk subtotals, in `other`'s
     /// first-touch order) into this workspace.
     void MergeFrom(const Workspace& other);
@@ -126,16 +135,22 @@ class IncSrEngine {
   void ScatterOuter(const Workspace& xi, const Workspace& eta,
                     la::ScoreStore* s);
 
+  // Gathers the nonzero entries of row `row` of S (ascending; a stored
+  // −0.0 is skipped like an absent +0.0) into expand_sources_/weights_.
+  void GatherNonzeros(const la::ScoreStore& s, std::size_t row);
+
+  // out ← Q·x, where x is the gathered (expand_sources_, expand_weights_)
+  // and Q is read off `graph`: each source y adds x_y to its out-neighbors
+  // a, then a's in-sum is divided by |I(a)|. `out` must be cleared.
+  void MultiplyQGathered(const graph::DynamicDiGraph& graph, std::size_t n,
+                         Workspace* out);
+
   // Shared tail of both update paths: seeds ξ₀ = C·e_target, η₀ = θ
   // (already in eta_), runs the K pruned iterations against the NEW
   // graph, scattering into S and recording stats.
   void RunPrunedIterations(graph::NodeId target,
                            const graph::DynamicDiGraph& new_graph,
                            la::ScoreStore* s);
-
-  // Adds every index of `ws` not yet in stats_.touched_nodes (dedup via
-  // touched_seen_, which mirrors stats_.touched_nodes membership).
-  void RecordTouched(const Workspace& ws);
 
   simrank::SimRankOptions options_;
   std::size_t threads_;  // resolved once from options/env/hardware
@@ -144,22 +159,17 @@ class IncSrEngine {
   Workspace eta_;
   Workspace xi_next_;
   Workspace eta_next_;
+  Workspace z_;  // ApplyRowUpdate's z = S·v
   std::vector<Workspace> chunk_ws_;  // per-chunk expansion accumulators
-  // Gathered nonzero sources of a dense scan, so expansion chunk geometry
-  // depends on the support size rather than the ambient node count — this
-  // is what makes S bitwise invariant to the ambient id space (a sharded
-  // component-local run matches the full-graph run, see src/shard/).
+  // Gathered nonzero sources (and their values) of a Q·x expansion, so
+  // expansion chunk geometry depends on the support size rather than the
+  // ambient node count — this is what makes S bitwise invariant to the
+  // ambient id space (a sharded component-local run matches the
+  // full-graph run, see src/shard/).
   std::vector<std::int32_t> expand_sources_;
+  std::vector<double> expand_weights_;
   std::vector<std::int32_t> scatter_rows_;  // supp(ξ) ∪ supp(η) scratch
   std::vector<la::RowWriter> scatter_writers_;  // one write session per row
-  std::vector<std::uint8_t> touched_seen_;
-  // ReadRow gather scratches. Like the COW clones, sparse row reads are
-  // resolved serially BEFORE a parallel region (ReadRow writes its
-  // scratch), so workers only ever see stable pointers.
-  la::Vector seed_row_i_;
-  la::Vector seed_row_j_;
-  std::vector<la::Vector> read_gather_;    // one scratch per resolved row
-  std::vector<const double*> read_ptrs_;   // pre-resolved row pointers
 };
 
 }  // namespace incsr::core

@@ -67,6 +67,24 @@ struct RowBlock {
   /// Expands a sparse block into `dst[0..num_cols)`: absent columns become
   /// exact +0.0, stored entries keep their bit patterns.
   void GatherInto(std::size_t num_cols, double* dst) const;
+
+  /// Calls fn(col, value) for every entry whose bit pattern is not +0.0,
+  /// in ascending column order: the stored arrays of a sparse block, a
+  /// scan of a dense one. Every column not visited reads +0.0.
+  template <typename Fn>
+  void ForEachStored(Fn&& fn) const {
+    if (is_sparse()) {
+      for (std::size_t k = 0; k < sparse_cols.size(); ++k) {
+        if (IsPositiveZero(sparse_vals[k])) continue;
+        fn(static_cast<std::size_t>(sparse_cols[k]), sparse_vals[k]);
+      }
+      return;
+    }
+    for (std::size_t col = 0; col < dense.size(); ++col) {
+      if (IsPositiveZero(dense[col])) continue;
+      fn(col, dense[col]);
+    }
+  }
 };
 
 /// Contiguous read access to `block`'s row regardless of its

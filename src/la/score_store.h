@@ -157,6 +157,19 @@ class ScoreRows {
     return ReadRowFromBlock(table_[i], cols_, scratch);
   }
 
+  /// The stored-entry read: calls fn(col, value) for every entry of row i
+  /// whose bit pattern is not +0.0, in ascending column order — the
+  /// stored arrays of a sparse row (O(nnz)), a scan of a dense row (O(n)).
+  /// Every column it does not visit reads +0.0, so a sum that starts at
+  /// +0.0 and adds only the visited entries has the same bits as one over
+  /// the gathered row, and a ranking can offer the unvisited columns as
+  /// +0.0 candidates without reading them (docs/score_store.md).
+  template <typename Fn>
+  void ForEachStored(std::size_t i, Fn&& fn) const {
+    INCSR_DCHECK(i < rows(), "row %zu out of %zu", i, rows());
+    table_[i].ForEachStored(fn);
+  }
+
   /// Materializes the matrix (bitwise-exact copy).
   DenseMatrix ToDense() const {
     DenseMatrix out(rows(), cols_);

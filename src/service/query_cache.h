@@ -1,12 +1,13 @@
 // Affected-area-driven query cache for the serving layer. Memoizes top-k
-// results per query node and invalidates them SELECTIVELY: an applied
-// update batch reports the union of its affected sets ∪_k (A_k ∪ B_k)
-// (AffectedAreaStats::touched_nodes), and only cached entries whose query
-// node lies in that union can have changed — everything else survives the
-// epoch bump untouched. This turns the paper's lossless pruning structure
-// (Theorem 4: ΔS is supported on ∪_k A_k×B_k plus its transpose) into a
-// serving-side win: on graphs where updates touch a small affected area,
-// most of the cache stays warm across ingest.
+// results per query node and invalidates them SELECTIVELY: at each publish
+// the score store reports the rows the batch actually wrote (its
+// touched-row delta, DynamicSimRank::TouchedScoreRows), and only cached
+// entries whose query node is one of those rows can have changed —
+// everything else survives the epoch bump untouched. This turns the
+// paper's lossless pruning structure (Theorem 4: ΔS is supported on
+// ∪_k A_k×B_k plus its transpose) into a serving-side win: on graphs where
+// updates touch a small affected area, most of the cache stays warm across
+// ingest.
 //
 // Thread-safety: every method takes an internal mutex; readers fill the
 // cache while the applier thread invalidates. Entries are tagged with the

@@ -72,8 +72,9 @@ SimRankService::SimRankService(core::DynamicSimRank index,
   // Page-root copy, not a matrix copy; ends the writer's ownership so the
   // first batch copy-on-writes exactly the rows it touches.
   initial->scores = index_.mutable_score_store()->Publish();
-  // Initial index build is the one full O(n² log c) pass; every later
-  // epoch re-ranks only the rows its batch touched.
+  // Initial index build is the one pass over every row (O(n² log c)
+  // dense, O(Σ nnz log c + n·c log c) sparse); every later epoch
+  // re-ranks only the rows its batch touched.
   topk_index_.RebuildAll(index_.scores());
   initial->topk = topk_index_.Publish();
   CaptureStats(initial.get());

@@ -194,7 +194,7 @@ class TrafficSketch {
   X(topk_index_served, std::uint64_t, kSum, "queries",                      \
     "TopKFor misses answered from the per-node index in O(k)")             \
   X(topk_index_fallbacks, std::uint64_t, kSum, "queries",                   \
-    "TopKFor misses that fell back to the O(n) row scan")                  \
+    "TopKFor misses that fell back to the row scan")                       \
   X(topk_index_rows_reranked, std::uint64_t, kSum, "rows",                  \
     "per-node index entries re-ranked at publish time")                    \
   X(topk_pairs_served, std::uint64_t, kSum, "queries",                      \

@@ -14,8 +14,9 @@
 //   - Maintenance is incremental by the affected-area argument: a batch
 //     can only change row q if the applier wrote it, so at publish time
 //     ONLY the touched rows (la::ScoreStore's COW-clone record) are
-//     re-ranked, each by one O(n log c) scan of the already-materialized
-//     row. Untouched entries stay valid because their rows' bytes did not
+//     re-ranked, each by one core::TopKForOf: O(nnz log c + c log c) over
+//     a sparse row's stored entries, O(n log c) over a dense row.
+//     Untouched entries stay valid because their rows' bytes did not
 //     change.
 //   - A miss with k <= |entry| (or a complete entry, |entry| = n-1) is
 //     served as the entry's first min(k, |entry|) items — bitwise
@@ -127,7 +128,8 @@ class TopKIndex {
   std::uint64_t rows_reranked() const { return rows_reranked_; }
 
   /// Re-ranks the entries of `rows` from the current score rows, one
-  /// O(n log c) contract-ordered scan each. Rows must be in range;
+  /// contract-ordered core::TopKForOf each (O(nnz log c + c log c) on a
+  /// sparse row, O(n log c) on a dense one). Rows must be in range;
   /// duplicates are harmless. Writer thread only.
   void RebuildRows(const la::ScoreStore& scores,
                    std::span<const std::int32_t> rows);

@@ -268,6 +268,9 @@ TEST(DynamicSimRank, ApplyBatchMatchesCoalescedOnMixedRevisitingStream) {
   auto unit = DynamicSimRank::Create(g, options);
   auto coalesced = DynamicSimRank::Create(g, options);
   ASSERT_TRUE(unit.ok() && coalesced.ok());
+  // Publish once so the batches' writes land in the touched-row delta.
+  unit->mutable_score_store()->Publish();
+  coalesced->mutable_score_store()->Publish();
   ASSERT_TRUE(unit->ApplyBatch(stream).ok());
   ASSERT_TRUE(coalesced->ApplyBatchCoalesced(stream).ok());
 
@@ -277,11 +280,13 @@ TEST(DynamicSimRank, ApplyBatchMatchesCoalescedOnMixedRevisitingStream) {
                            simrank::BatchMatrix(coalesced->graph(), options)),
             1e-9);
 
-  // Both batch paths report merged affected-area stats with the touched
-  // node union the serving layer invalidates its query cache from.
-  EXPECT_FALSE(unit->last_batch_stats().touched_nodes.empty());
-  EXPECT_FALSE(coalesced->last_batch_stats().touched_nodes.empty());
-  for (std::int32_t node : coalesced->last_batch_stats().touched_nodes) {
+  // Both batch paths report the touched score rows the serving layer
+  // invalidates its query cache from.
+  EXPECT_FALSE(unit->AllScoreRowsTouched());
+  EXPECT_FALSE(coalesced->AllScoreRowsTouched());
+  EXPECT_FALSE(unit->TouchedScoreRows().empty());
+  EXPECT_FALSE(coalesced->TouchedScoreRows().empty());
+  for (std::int32_t node : coalesced->TouchedScoreRows()) {
     EXPECT_TRUE(coalesced->graph().HasNode(node));
   }
 }

@@ -14,11 +14,15 @@
 //     fallback -> grow -> index-served loop through the service.
 //   - CreateIsolated: the sparse-direct (1-C)I entry point matches the
 //     dense Create on an edgeless graph, before and after inserts.
+//   - Stored-entry read: ForEachStored visits exactly the entries that are
+//     not +0.0, and TopKForOf (store, View, and a TopKIndex kept up under
+//     churn) is bitwise the dense scan of ToDense().
 //   - Graph COW: snapshots and copies stay byte-stable across mutation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -564,6 +568,135 @@ TEST(CreateIsolated, MatchesDenseCreateBeforeAndAfterInserts) {
   }
   EXPECT_TRUE(
       la::BitwiseEqual(isolated->scores().ToDense(), dense->scores().ToDense()));
+}
+
+// ---- Stored-entry read -------------------------------------------------------
+
+// Same items with the same score BITS (ScoredPair's == takes −0.0 for +0.0).
+bool SameBits(const std::vector<core::ScoredPair>& x,
+              const std::vector<core::ScoredPair>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    if (x[t].a != y[t].a || x[t].b != y[t].b ||
+        std::bit_cast<std::uint64_t>(x[t].score) !=
+            std::bit_cast<std::uint64_t>(y[t].score)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A row mixing the cases the stored-entry read must get right: positive,
+// negative, tied and −0.0 entries between runs of +0.0, at a density drawn
+// per row (empty, a handful, a tenth, half, full).
+void FillMixedRow(Rng* rng, std::size_t n, double* row) {
+  const double densities[] = {0.0, 0.05, 0.1, 0.5, 1.0};
+  const double density = densities[rng->NextBounded(5)];
+  for (std::size_t j = 0; j < n; ++j) {
+    row[j] = 0.0;
+    if (!(rng->NextDouble() < density)) continue;
+    switch (rng->NextBounded(5)) {
+      case 0: row[j] = rng->NextDouble(); break;
+      case 1: row[j] = -rng->NextDouble(); break;
+      case 2: row[j] = 0.25; break;  // ties break on ascending id
+      case 3: row[j] = -0.0; break;
+      default: row[j] = 1e-300; break;
+    }
+  }
+}
+
+TEST(StoredEntryRead, TopKForOfMatchesTheDenseScanBitwise) {
+  const std::size_t n = 48;
+  Rng rng(2024);
+  la::DenseMatrix dense(n, n);
+  for (std::size_t i = 0; i < n; ++i) FillMixedRow(&rng, n, dense.RowPtr(i));
+  dense(0, 0) = 0.5;   // a stored diagonal
+  dense(1, 1) = 0.0;   // an absent diagonal
+  dense(3, 3) = -0.0;  // a stored −0.0 diagonal
+  la::ScoreStore store(dense);
+  la::SparsityConfig sparsity;
+  sparsity.max_density = 1.0;
+  store.set_sparsity(sparsity);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 != 2) ASSERT_TRUE(store.SparsifyRow(i, {}));  // ε = 0: lossless
+  }
+  const la::ScoreStore::View view = store.Publish();
+  ASSERT_TRUE(la::BitwiseEqual(store.ToDense(), dense));
+
+  for (std::size_t i = 0; i < n; ++i) {
+    // The read visits exactly the entries that are not +0.0, ascending.
+    std::vector<std::size_t> visited;
+    store.ForEachStored(i, [&](std::size_t col, double value) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(value),
+                std::bit_cast<std::uint64_t>(dense(i, col)));
+      visited.push_back(col);
+    });
+    std::vector<std::size_t> expected;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (std::bit_cast<std::uint64_t>(dense(i, j)) != 0) expected.push_back(j);
+    }
+    EXPECT_EQ(visited, expected) << "row " << i;
+
+    const auto query = static_cast<graph::NodeId>(i);
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                          std::size_t{7}, std::size_t{16}, n - 2, n - 1, n,
+                          n + 5}) {
+      const auto reference = core::TopKForOf(dense, query, k);
+      EXPECT_EQ(reference.size(), std::min(k, n - 1));
+      EXPECT_TRUE(SameBits(core::TopKForOf(store, query, k), reference))
+          << "store row " << i << " k " << k;
+      EXPECT_TRUE(SameBits(core::TopKForOf(view, query, k), reference))
+          << "view row " << i << " k " << k;
+    }
+  }
+}
+
+TEST(StoredEntryRead, TopKIndexOnCreateIsolatedMatchesTheDenseScan) {
+  const std::size_t n = 300;
+  const std::size_t local = 40;  // the churn stays on the first ids
+  simrank::SimRankOptions sr;
+  sr.damping = 0.6;
+  sr.iterations = 10;
+  auto index = core::DynamicSimRank::CreateIsolated(n, sr);
+  ASSERT_TRUE(index.ok());
+  service::TopKIndex topk(/*capacity=*/16);
+  topk.RebuildAll(index->scores());
+  index->mutable_score_store()->Publish();
+
+  Rng rng(91);
+  std::vector<graph::Edge> present;
+  for (int round = 0; round < 12; ++round) {
+    for (int u = 0; u < 6; ++u) {
+      if (!present.empty() && rng.NextBounded(3) == 0) {
+        const std::size_t pick = rng.NextBounded(present.size());
+        ASSERT_TRUE(
+            index->DeleteEdge(present[pick].src, present[pick].dst).ok());
+        present.erase(present.begin() + static_cast<std::ptrdiff_t>(pick));
+        continue;
+      }
+      const auto src = static_cast<graph::NodeId>(rng.NextBounded(local));
+      const auto dst = static_cast<graph::NodeId>(rng.NextBounded(local));
+      if (src == dst || index->graph().HasEdge(src, dst)) continue;
+      ASSERT_TRUE(index->InsertEdge(src, dst).ok());
+      present.push_back({src, dst});
+    }
+    ASSERT_FALSE(index->AllScoreRowsTouched());
+    topk.RebuildRows(index->scores(), index->TouchedScoreRows());
+    index->mutable_score_store()->Publish();
+  }
+  ASSERT_FALSE(present.empty());
+
+  const la::DenseMatrix reference = index->scores().ToDense();
+  std::size_t sparse_rows = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (index->scores().RowIsSparse(i)) ++sparse_rows;
+    const auto items = topk.EntryItems(i);
+    EXPECT_TRUE(SameBits({items.begin(), items.end()},
+                         core::TopKForOf(reference,
+                                         static_cast<graph::NodeId>(i), 16)))
+        << "row " << i;
+  }
+  EXPECT_GT(sparse_rows, n / 2);
 }
 
 // ---- Graph COW --------------------------------------------------------------

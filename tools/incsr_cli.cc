@@ -53,6 +53,7 @@
 // The updates file holds one update per line: "+ src dst" (insert) or
 // "- src dst" (delete); '#' starts a comment.
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <concepts>
 #include <csignal>
@@ -61,6 +62,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -120,6 +122,31 @@ Result<double> ParseFiniteDouble(const std::string& flag,
   return value;
 }
 
+// Parses a flag's value as an integer in [0, max]: the whole argument must
+// be consumed, and a sign, an overflow or a value past `max` is rejected
+// rather than wrapped or truncated.
+Result<std::size_t> ParseCount(
+    const std::string& flag, const std::string& text,
+    std::size_t max = std::numeric_limits<long long>::max()) {
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || parsed < 0 ||
+      static_cast<unsigned long long>(parsed) > max) {
+    return Status::InvalidArgument("flag " + flag + " needs an integer in [0, " +
+                                   std::to_string(max) + "], got '" + text +
+                                   "'");
+  }
+  return static_cast<std::size_t>(parsed);
+}
+
+// A node id or an iteration count: a ParseCount bounded to int.
+Result<int> ParseInt(const std::string& flag, const std::string& text) {
+  auto v = ParseCount(flag, text, std::numeric_limits<int>::max());
+  if (!v.ok()) return v.status();
+  return static_cast<int>(*v);
+}
+
 Result<CliOptions> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing edge list path");
   CliOptions options;
@@ -139,11 +166,15 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (flag == "--query") {
       auto v = next();
       if (!v.ok()) return v.status();
-      options.query = static_cast<graph::NodeId>(std::atoi(v->c_str()));
+      auto id = ParseInt(flag, *v);
+      if (!id.ok()) return id.status();
+      options.query = *id;
     } else if (flag == "--topk") {
       auto v = next();
       if (!v.ok()) return v.status();
-      options.topk = static_cast<std::size_t>(std::atoll(v->c_str()));
+      auto k = ParseCount(flag, *v);
+      if (!k.ok()) return k.status();
+      options.topk = *k;
     } else if (flag == "--damping") {
       auto v = next();
       if (!v.ok()) return v.status();
@@ -153,7 +184,9 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (flag == "--iterations") {
       auto v = next();
       if (!v.ok()) return v.status();
-      options.iterations = std::atoi(v->c_str());
+      auto iterations = ParseInt(flag, *v);
+      if (!iterations.ok()) return iterations.status();
+      options.iterations = *iterations;
     } else if (flag == "--algorithm") {
       auto v = next();
       if (!v.ok()) return v.status();
@@ -281,14 +314,7 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
     auto next_size = [&]() -> Result<std::size_t> {
       auto v = next();
       if (!v.ok()) return v.status();
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v->c_str(), &end, 10);
-      if (end == v->c_str() || *end != '\0' || parsed < 0) {
-        return Status::InvalidArgument("flag " + flag +
-                                       " needs a non-negative integer, got '" +
-                                       *v + "'");
-      }
-      return static_cast<std::size_t>(parsed);
+      return ParseCount(flag, *v);
     };
     if (flag == "--updates") {
       auto v = next();
@@ -367,11 +393,15 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
     } else if (flag == "--iterations") {
       auto v = next();
       if (!v.ok()) return v.status();
-      options.iterations = std::atoi(v->c_str());
+      auto iterations = ParseInt(flag, *v);
+      if (!iterations.ok()) return iterations.status();
+      options.iterations = *iterations;
     } else if (flag == "--threads") {
-      auto v = next_size();
+      auto v = next();
       if (!v.ok()) return v.status();
-      options.num_threads = static_cast<int>(*v);
+      auto threads = ParseInt(flag, *v);
+      if (!threads.ok()) return threads.status();
+      options.num_threads = *threads;
     } else if (flag == "--shards") {
       auto v = next_size();
       if (!v.ok()) return v.status();
@@ -866,28 +896,37 @@ Result<ClientCommand> ParseClientArgs(int argc, char** argv) {
       if (!a.ok()) return a.status();
       auto b = next();
       if (!b.ok()) return b.status();
+      auto id_a = ParseInt(flag, *a);
+      if (!id_a.ok()) return id_a.status();
+      auto id_b = ParseInt(flag, *b);
+      if (!id_b.ok()) return id_b.status();
       command.score = command.any = true;
-      command.score_a = static_cast<graph::NodeId>(std::atoi(a->c_str()));
-      command.score_b = static_cast<graph::NodeId>(std::atoi(b->c_str()));
+      command.score_a = *id_a;
+      command.score_b = *id_b;
     } else if (flag == "--query") {
       auto v = next();
       if (!v.ok()) return v.status();
-      command.query = static_cast<graph::NodeId>(std::atoi(v->c_str()));
+      auto id = ParseInt(flag, *v);
+      if (!id.ok()) return id.status();
+      command.query = *id;
       command.any = true;
     } else if (flag == "--pairs") {
       command.pairs = command.any = true;
     } else if (flag == "--topk") {
       auto v = next();
       if (!v.ok()) return v.status();
-      command.topk = static_cast<std::size_t>(std::atoll(v->c_str()));
+      auto k = ParseCount(flag, *v);
+      if (!k.ok()) return k.status();
+      command.topk = *k;
     } else if (flag == "--suggest") {
       auto v = next();
       if (!v.ok()) return v.status();
       std::stringstream nodes(*v);
       std::string item;
       while (std::getline(nodes, item, ',')) {
-        command.suggest.push_back(
-            static_cast<graph::NodeId>(std::atoi(item.c_str())));
+        auto id = ParseInt(flag, item);
+        if (!id.ok()) return id.status();
+        command.suggest.push_back(*id);
       }
       if (command.suggest.empty()) {
         return Status::InvalidArgument("--suggest needs node ids");
