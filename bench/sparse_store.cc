@@ -3,7 +3,7 @@
 // Phase A (equivalence sweep): the same power-law workload — a
 // preferential-citation base graph plus its remaining stream as live
 // inserts — is replayed through SimRankService twice: dense store vs
-// tiered store at ε (default 1e-4, aggressive demotion). Reported per run:
+// tiered store at ε (default 1e-4). Reported per run:
 // resident score bytes (dense slab vs sparse payload), ingest updates/s,
 // query throughput on the settled tier mix, and for the sparse run the
 // accuracy ledger: max |served − exact| against the dense run's final
@@ -89,10 +89,6 @@ RunResult RunServing(const Config& config,
   if (tiered) {
     service_options.sparse.enabled = true;
     service_options.sparse.epsilon = config.epsilon;
-    // Aggressive demotion: any row the decayed sketch has not seen read
-    // goes sparse, and the clock sweep covers the whole store each epoch.
-    service_options.sparse.hot_reads = 1;
-    service_options.sparse.scan_rows_per_publish = config.nodes;
   }
 
   auto index = core::DynamicSimRank::Create(base, options);
@@ -250,10 +246,8 @@ int Run(const Config& config) {
               "observed error %.3g exceeds the store's recorded bound %.3g",
               max_err, bound);
   std::printf(
-      "tier policy: %llu demotions, %llu promotions; graph snapshots "
-      "copy-on-wrote %.1f KB\n",
+      "tier policy: %llu demotions; graph snapshots copy-on-wrote %.1f KB\n",
       static_cast<unsigned long long>(sparse.stats.tier_demotions),
-      static_cast<unsigned long long>(sparse.stats.tier_promotions),
       static_cast<double>(sparse.stats.graph_bytes_copied) / 1e3);
 
   const double dense_bytes =
@@ -380,7 +374,6 @@ int Run(const Config& config) {
           .Set("eps_drops", r.stats.sparse_eps_drops)
           .Set("max_error_bound", r.stats.sparse_max_error_bound)
           .Set("tier_demotions", r.stats.tier_demotions)
-          .Set("tier_promotions", r.stats.tier_promotions)
           .Set("graph_bytes_copied", r.stats.graph_bytes_copied);
     }
     root.Set("max_abs_error_observed", max_err)
@@ -399,8 +392,7 @@ int Run(const Config& config) {
           .Set("peak_transient_dense_bytes", churn.peak_dense_bytes)
           .Set("rows_spilled_dense", churn.store_stats.rows_spilled_dense)
           .Set("sparse_write_merges", churn.store_stats.sparse_write_merges)
-          .Set("rows_sparsified", churn.store_stats.rows_sparsified)
-          .Set("rows_densified", churn.store_stats.rows_densified);
+          .Set("rows_sparsified", churn.store_stats.rows_sparsified);
       root.Set("churn_nodes", config.churn_nodes)
           .Set("churn_updates", churn.applied)
           .Set("churn_batch", config.churn_batch)

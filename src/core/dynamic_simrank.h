@@ -74,7 +74,10 @@ template <typename SLike>
 std::vector<ScoredPair> TopKPairsOf(const SLike& s, std::size_t k) {
   const std::size_t n = s.rows();
   std::vector<ScoredPair> heap;  // min-heap on score
-  const auto cmp = &ScoredPairRanksBefore;
+  // Stateless, so the heap operations inline it (see TopKForOf).
+  const auto cmp = [](const ScoredPair& x, const ScoredPair& y) {
+    return ScoredPairRanksBefore(x, y);
+  };
   la::Vector scratch;
   for (std::size_t a = 0; a < n; ++a) {
     const double* row = s.ReadRow(a, &scratch);

@@ -68,15 +68,6 @@ SparsifyResult SparsifyDenseRow(const double* row, std::size_t num_cols,
   return result;
 }
 
-std::shared_ptr<const RowBlock> DensifyBlock(const RowBlock& block,
-                                             std::size_t num_cols) {
-  auto dense = std::make_shared<RowBlock>();
-  dense->kind = RowBlock::Kind::kDense;
-  dense->dense.resize(num_cols);
-  block.GatherInto(num_cols, dense->dense.data());
-  return dense;
-}
-
 std::shared_ptr<const RowBlock> MakeSingleEntryRow(std::size_t col,
                                                    double value) {
   auto block = std::make_shared<RowBlock>();

@@ -121,10 +121,6 @@ SparsifyResult SparsifyDenseRow(const double* row, std::size_t num_cols,
                                 double epsilon, double max_density,
                                 std::span<const std::int32_t> keep_cols);
 
-/// Expands a sparse block into a fresh single-row dense block.
-std::shared_ptr<const RowBlock> DensifyBlock(const RowBlock& block,
-                                             std::size_t num_cols);
-
 /// Single-row sparse block holding one entry: row[col] = value. This is
 /// the O(1)-per-row construction path for (scaled) identity matrices —
 /// the only way to stand up an n that a dense n² slab cannot hold.

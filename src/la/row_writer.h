@@ -70,9 +70,9 @@ class RowWriter {
   /// Flat pointer covering all columns of the row. A sparse session SPILLS:
   /// the base block is gathered into a writer-local dense buffer and the
   /// accumulated touches are flushed onto it, after which the commit will
-  /// install a dense block (counted as a write-path spill, not a tier
-  /// promotion). Safe to call from a parallel worker — the buffer is
-  /// writer-local and the base block immutable.
+  /// install a dense block (counted as a write-path spill). Safe to call
+  /// from a parallel worker — the buffer is writer-local and the base
+  /// block immutable.
   double* Dense();
 
   // ---- store-side session protocol ----------------------------------------

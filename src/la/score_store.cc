@@ -227,19 +227,6 @@ bool ScoreStore::SparsifyRow(std::size_t i,
   return true;
 }
 
-bool ScoreStore::DensifyRow(std::size_t i) {
-  INCSR_DCHECK(i < rows(), "row %zu out of %zu", i, rows());
-  const RowBlock& block = table_[i];
-  if (!block.is_sparse()) return false;
-  stats_.sparse_payload_bytes -= block.payload_bytes();
-  --stats_.rows_sparse;
-  ++stats_.rows_densified;
-  TRACE_COUNTER_ARG(kStoreTierPromote, i, 1);
-  ReplaceRow(i, DensifyBlock(block, cols_));
-  BumpDensePeak();
-  return true;
-}
-
 std::uint64_t ScoreStore::bytes_saved() const {
   const std::uint64_t dense_equiv =
       stats_.rows_sparse * static_cast<std::uint64_t>(cols_) * sizeof(double);

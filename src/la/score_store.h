@@ -20,11 +20,10 @@
 //     the writer and commit index-merges it with the
 //     immutable base block, spilling to dense only past the max_density
 //     gate or on an explicit RowWriter::Dense() (counted as
-//     rows_spilled_dense, separate from explicit DensifyRow promotions).
-//     The serving layer re-sparsifies cold rows at publish time
-//     (SparsifyRow/DensifyRow), so the tier a row occupies is earned by
-//     its traffic, not fixed at construction; a batch-touched sparse row
-//     never leaves its tier, so publish pays no re-sparsify for it.
+//     rows_spilled_dense). The serving layer re-sparsifies the dense rows
+//     a batch wrote at publish time (SparsifyRow), so a row's tier follows
+//     only from its writes; a batch-touched sparse row never leaves its
+//     tier, so publish pays no re-sparsify for it.
 //   - ReadRow(i)/operator() is the one read path, representation-agnostic.
 //
 // Accuracy contract when sparsity is enabled (docs/score_store.md): every
@@ -34,8 +33,8 @@
 // bytes are bitwise identical to the dense original.
 //
 // Threading model (matches the serving layer): ONE writer thread calls the
-// mutating methods (BeginWriteRow/CommitWriteRow, SparsifyRow, DensifyRow,
-// Publish, GrowByIsolatedNode); any number of reader threads read through
+// mutating methods (BeginWriteRow/CommitWriteRow, SparsifyRow, Publish,
+// GrowByIsolatedNode); any number of reader threads read through
 // Views they obtained via a synchronizing handoff (e.g. a shared_ptr swap
 // under a mutex). Blocks are immutable once shared and freed by shared_ptr
 // refcounting, so no reader ever races a write — the COW decision is the
@@ -82,13 +81,8 @@ struct ScoreStoreStats {
   // ---- Tiered sparse backing ----------------------------------------------
   /// Cumulative dense→sparse demotions (SparsifyRow).
   std::uint64_t rows_sparsified = 0;
-  /// Cumulative sparse→dense transitions, split by cause:
-  /// `rows_densified` counts EXPLICIT DensifyRow promotions (tier policy
-  /// promoting a hot row); `rows_spilled_dense` counts write-path
-  /// densifications (RowWriter Dense() spills and sparse commits past the
-  /// max_density gate). Their sum equals the single conflated counter
-  /// older benches recorded.
-  std::uint64_t rows_densified = 0;
+  /// Cumulative sparse→dense transitions, all on the write path: RowWriter
+  /// Dense() spills and sparse commits past the max_density gate.
   std::uint64_t rows_spilled_dense = 0;
   /// Sparse-native write sessions that committed as an index-merge (the
   /// row stayed in its sparse tier through a batch write).
@@ -242,11 +236,6 @@ class ScoreStore : public ScoreRows<CowTable<RowBlock>> {
   bool SparsifyRow(std::size_t i, std::span<const std::int32_t> keep_cols,
                    std::size_t* dropped_out = nullptr);
 
-  /// Promotes sparse row i back to the dense layout (content unchanged;
-  /// absent entries become +0.0). Returns false when already dense.
-  /// Writer thread only.
-  bool DensifyRow(std::size_t i);
-
   /// Dense bytes the currently sparse rows would occupy minus their actual
   /// sparse payload — the memory the tiering is saving right now.
   std::uint64_t bytes_saved() const;
@@ -256,8 +245,8 @@ class ScoreStore : public ScoreRows<CowTable<RowBlock>> {
   // ---- Touched-row delta surface -----------------------------------------
   // Between two Publish() calls, the rows whose bytes may differ from the
   // previous View are exactly the rows written through a write session or
-  // retired/promoted by SparsifyRow/DensifyRow; replacing a row the writer
-  // does not own records it here. The serving layer reads this (before
+  // demoted by SparsifyRow; replacing a row the writer does not own
+  // records it here. The serving layer reads this (before
   // calling Publish(), which resets it) to re-rank its per-node top-k
   // index and invalidate its query cache from the rows the batch ACTUALLY
   // wrote — exact for every update algorithm, unlike the analytic

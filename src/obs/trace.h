@@ -2,9 +2,8 @@
 // the writer/analyzer split of production trace systems (Unreal's
 // TraceLog): every instrumented thread appends fixed-size binary events
 // to a PRIVATE bounded SPSC ring, and a background drainer serializes the
-// rings into a length-prefixed trace file. The discipline mirrors the
-// TrafficSketch: no locks, no allocation, and no blocking anywhere on the
-// hot path —
+// rings into a length-prefixed trace file. No locks, no allocation, and
+// no blocking anywhere on the hot path —
 //
 //   - disabled cost: ONE relaxed atomic load (the macros check
 //     Tracer::Enabled() and fall through);
@@ -97,7 +96,8 @@ enum class EventId : std::uint16_t {
   /// Counter: dense row demoted to the sparse tier; value = payload bytes
   /// after sparsification.
   kStoreTierDemote = 19,
-  /// Counter: sparse row promoted back to dense by the tier policy.
+  /// Reserved: read-driven promotion to dense, which no longer exists.
+  /// Kept (and not renumbered) so older trace files still decode.
   kStoreTierPromote = 20,
 
   // ---- network server (net/server.cc) ----
@@ -107,8 +107,7 @@ enum class EventId : std::uint16_t {
 
   // ---- score store, sparse-native write path (la/score_store.cc) ----
   /// Counter: a sparse row densified on the WRITE path (a RowWriter
-  /// Dense() spill or a merge past the max_density gate) — distinct from
-  /// a tier-policy promotion.
+  /// Dense() spill or a merge past the max_density gate).
   kStoreWriteSpill = 22,
   /// Counter: a sparse-native write session committed as an index-merge
   /// (the row stayed sparse); value = merged payload bytes.

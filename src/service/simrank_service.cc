@@ -1,6 +1,5 @@
 #include "service/simrank_service.h"
 
-#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -10,9 +9,7 @@
 
 namespace incsr::service {
 
-namespace {
-
-// Shared by Create and CreateReplica; accepting form, so a NaN fails it.
+// Accepting form, so a NaN fails it.
 Status ValidateOptions(const ServiceOptions& options) {
   if (options.queue_capacity == 0 || options.max_batch == 0) {
     return Status::InvalidArgument("queue_capacity and max_batch must be >= 1");
@@ -25,8 +22,6 @@ Status ValidateOptions(const ServiceOptions& options) {
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Result<std::unique_ptr<SimRankService>> SimRankService::Create(
     core::DynamicSimRank index, const ServiceOptions& options) {
@@ -49,9 +44,7 @@ SimRankService::SimRankService(core::DynamicSimRank index,
       index_(std::move(index)),
       cache_(options.cache_capacity),
       topk_index_(options.topk_index_capacity),
-      tiering_(options.sparse.enabled),
-      adaptive_topk_(options.adaptive_topk_index &&
-                     options.topk_index_capacity > 0) {
+      tiering_(options.sparse.enabled) {
   if (tiering_) {
     la::SparsityConfig config;
     config.epsilon = options_.sparse.epsilon;
@@ -63,10 +56,10 @@ SimRankService::SimRankService(core::DynamicSimRank index,
   }
   auto initial = std::make_shared<EpochSnapshot>();
   initial->epoch = 0;
-  // Initial tier pass BEFORE the first publish and index build: with no
-  // traffic yet every row is cold, so a dense-built store starts at the
-  // policy's chosen mix, and the index below ranks the post-demotion
-  // bytes (keep sets are empty on purpose — entries do not exist yet).
+  // Initial tier pass BEFORE the first publish and index build: a
+  // dense-built store starts at the policy's chosen mix, and the index
+  // below ranks the post-demotion bytes (keep sets are empty on purpose —
+  // entries do not exist yet).
   if (tiering_) ApplyTierPolicy(/*all_touched=*/true);
   initial->graph = index_.SnapshotGraph();
   // Page-root copy, not a matrix copy; ends the writer's ownership so the
@@ -199,15 +192,12 @@ Result<double> SimRankService::Score(graph::NodeId a, graph::NodeId b) const {
   if (!snap->graph.HasNode(a) || !snap->graph.HasNode(b)) {
     return Status::OutOfRange("Score: node out of range");
   }
-  // Row `a` is the one whose storage this read touches.
-  if (tiering_ || adaptive_topk_) sketch_.Bump(a);
   return snap->scores(static_cast<std::size_t>(a),
                       static_cast<std::size_t>(b));
 }
 
 Result<std::vector<core::ScoredPair>> SimRankService::TopKFor(
     graph::NodeId query, std::size_t k) const {
-  if (tiering_ || adaptive_topk_) sketch_.Bump(query);
   std::vector<core::ScoredPair> results;
   if (cache_.Lookup(query, k, &results)) return results;
   std::shared_ptr<const EpochSnapshot> snap = Snapshot();
@@ -222,13 +212,6 @@ Result<std::vector<core::ScoredPair>> SimRankService::TopKFor(
     results = core::TopKForOf(snap->scores, query, k);
     if (topk_index_.enabled()) {
       topk_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      // Queue this node for a capacity grow at the next publish — but
-      // only if a grow could actually cover k (caps clamp at 2× base).
-      if (adaptive_topk_ && k <= 2 * options_.topk_index_capacity) {
-        constexpr std::size_t kGrowQueueCap = 1024;
-        std::lock_guard<std::mutex> lock(grow_mu_);
-        if (grow_queue_.size() < kGrowQueueCap) grow_queue_.push_back(query);
-      }
     }
   }
   cache_.Insert(query, k, snap->epoch, results);
@@ -395,17 +378,14 @@ void SimRankService::ApplyAndPublish(
 
 std::uint64_t SimRankService::Publish() {
   TRACE_SCOPE(kPublish);
-  // Storage policies run FIRST, before the touched-row capture: a row the
-  // tier policy re-represents records itself into the store's touched
-  // delta (a replaced unowned block), so the one re-rank + invalidation
-  // pass below covers batch rows and re-tiered rows alike — and the index
-  // entries it rebuilds rank the FINAL (post-sparsification) bytes.
-  std::vector<std::int32_t> rerank_extra;
+  // The tier policy runs FIRST, before the touched-row capture: a row it
+  // demotes records itself into the store's touched delta (a replaced
+  // unowned block), so the one re-rank + invalidation pass below covers
+  // batch rows and demoted rows alike — and the index entries it rebuilds
+  // rank the FINAL (post-sparsification) bytes.
   {
     TRACE_SCOPE(kTierPolicy);
     ApplyTierPolicy(index_.AllScoreRowsTouched());
-    AdaptTopKCapacities(&rerank_extra);
-    if (tiering_ || adaptive_topk_) sketch_.Decay();
   }
 
   auto next = std::make_shared<EpochSnapshot>();
@@ -422,10 +402,6 @@ std::uint64_t SimRankService::Publish() {
   if (!all_touched) {
     const std::span<const std::int32_t> rows = index_.TouchedScoreRows();
     touched.assign(rows.begin(), rows.end());
-    // Rows whose index capacity grew need a re-rank even though their
-    // score bytes did not change (duplicates are harmless downstream;
-    // the spurious cache invalidation is one extra miss).
-    touched.insert(touched.end(), rerank_extra.begin(), rerank_extra.end());
   }
   // The batch's writes already COW-cloned exactly the affected rows and
   // their pages; publishing copies ⌈n/256⌉ page pointers.
@@ -472,12 +448,8 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
   la::ScoreStore* store = index_.mutable_score_store();
   const std::size_t n = store->rows();
   if (n == 0) return;
-  const SparsityPolicy& policy = options_.sparse;
   const auto consider_demote = [&](std::size_t row) {
     if (store->RowIsSparse(row)) return;
-    if (sketch_.Count(static_cast<graph::NodeId>(row)) >= policy.hot_reads) {
-      return;  // hot rows earn their dense tier
-    }
     // Protect the row's current index columns: index-served top-k keeps
     // reading exactly stored values. For a batch-touched row the entry is
     // one epoch stale, which is safe — the publish re-ranks it from the
@@ -491,85 +463,19 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
     }
   };
   if (all_touched) {
-    // Fresh store / geometry change: one full pass, no sweep needed.
+    // Fresh store / geometry change: one pass over every row.
     for (std::size_t row = 0; row < n; ++row) consider_demote(row);
     return;
   }
   // Batch-touched rows that the write path left dense (COW'd dense rows,
-  // spills past the max_density gate) go back to sparse when cold. Most
-  // touched sparse rows stayed in their sparse tier, so consider_demote
-  // early-returns on them and this pass costs almost nothing. Iterate a
-  // COPY — SparsifyRow appends to the live list.
-  {
-    const std::vector<std::int32_t> touched = store->touched_rows();
-    for (std::int32_t row : touched) {
-      consider_demote(static_cast<std::size_t>(row));
-    }
+  // spills past the max_density gate). Most touched sparse rows stayed in
+  // their sparse tier, so consider_demote early-returns on them and this
+  // pass costs almost nothing. Iterate a COPY — SparsifyRow appends to the
+  // live list.
+  const std::vector<std::int32_t> touched = store->touched_rows();
+  for (std::int32_t row : touched) {
+    consider_demote(static_cast<std::size_t>(row));
   }
-  // Bounded clock sweep over the whole matrix: demotes cold dense rows no
-  // batch ever writes and promotes sparse rows whose traffic returned.
-  const std::size_t steps = std::min(policy.scan_rows_per_publish, n);
-  for (std::size_t s = 0; s < steps; ++s) {
-    const std::size_t row = tier_clock_;
-    tier_clock_ = (tier_clock_ + 1) % n;
-    if (store->RowIsSparse(row)) {
-      if (sketch_.Count(static_cast<graph::NodeId>(row)) >=
-              policy.promote_reads &&
-          store->DensifyRow(row)) {
-        ++applier_stats_.tier_promotions;
-      }
-    } else {
-      consider_demote(row);
-    }
-  }
-}
-
-void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
-  if (!adaptive_topk_) return;
-  // Grow: nodes whose TopKFor missed past their entry since the last
-  // publish earn a doubled capacity (the index clamps at 2× base); the
-  // caller re-ranks them from the published bytes via *rerank.
-  std::vector<graph::NodeId> grew;
-  {
-    std::lock_guard<std::mutex> lock(grow_mu_);
-    grew.swap(grow_queue_);
-  }
-  const std::size_t n = index_.scores().rows();
-  const std::size_t rerank_begin = rerank->size();
-  for (graph::NodeId node : grew) {
-    const auto row = static_cast<std::size_t>(node);
-    if (row >= n) continue;
-    const std::size_t current = topk_index_.NodeCapacity(row);
-    if (topk_index_.SetNodeCapacity(row, current * 2) > current) {
-      ++applier_stats_.topk_cap_grows;
-      rerank->push_back(static_cast<std::int32_t>(row));
-    }
-  }
-  // Shrink: grown nodes that went cold decay back toward the base
-  // capacity by entry truncation (exact prefix, no rescan), one bounded
-  // clock slice per publish. A row grown this publish still has its read
-  // in the sketch; one grown by the previous publish is exempt for this
-  // one, so every grow serves for at least one full epoch.
-  const std::size_t steps = std::min(options_.sparse.scan_rows_per_publish, n);
-  for (std::size_t s = 0; s < steps; ++s) {
-    const std::size_t row = cap_clock_;
-    cap_clock_ = (cap_clock_ + 1) % n;
-    const std::size_t current = topk_index_.NodeCapacity(row);
-    if (current <= topk_index_.capacity()) continue;  // never below base
-    if (sketch_.Count(static_cast<graph::NodeId>(row)) > 0) continue;
-    if (std::binary_search(last_grown_.begin(), last_grown_.end(),
-                           static_cast<std::int32_t>(row))) {
-      continue;
-    }
-    const std::size_t target = std::max(topk_index_.capacity(), current / 2);
-    if (topk_index_.SetNodeCapacity(row, target) < current) {
-      ++applier_stats_.topk_cap_shrinks;
-    }
-  }
-  last_grown_.assign(
-      rerank->begin() + static_cast<std::ptrdiff_t>(rerank_begin),
-      rerank->end());
-  std::sort(last_grown_.begin(), last_grown_.end());
 }
 
 void SimRankService::CaptureStats(EpochSnapshot* next) {

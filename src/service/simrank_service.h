@@ -44,7 +44,6 @@
 #ifndef INCSR_SERVICE_SIMRANK_SERVICE_H_
 #define INCSR_SERVICE_SIMRANK_SERVICE_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -76,12 +75,14 @@ enum class BackpressurePolicy {
 };
 
 /// Tiered-storage policy for the score rows (docs/score_store.md). When
-/// enabled, the applier demotes cold rows to the threshold-sparsified
-/// layout at publish time (entries ≥ ε plus the row's protected top-k
-/// index columns survive; see la::ScoreStore::SparsifyRow) and promotes
-/// rows back to dense when read traffic returns. All OFF by default: the
-/// dense store's bitwise guarantees (replica equality, shard-count
-/// invariance) are untouched unless a deployment opts in.
+/// enabled, a row's tier is decided only when the row is built or written:
+/// Create demotes every row once, the write path keeps a sparse row sparse
+/// up to max_density, and each publish demotes the dense rows its batch
+/// wrote (entries ≥ ε plus the row's top-k index columns survive; see
+/// la::ScoreStore::SparsifyRow). Reads never move a row, so a replica fed
+/// the same batches holds the primary's tiers. OFF by default: the dense
+/// store's bitwise guarantees (replica equality, shard-count invariance)
+/// are untouched unless a deployment opts in.
 struct SparsityPolicy {
   bool enabled = false;
   /// Sparsification drop threshold: entries with |v| < epsilon may be
@@ -91,16 +92,6 @@ struct SparsityPolicy {
   /// Rows whose retained fraction exceeds this stay dense (index+value
   /// pairs cost 12 bytes against 8 dense; see la::SparsityConfig).
   double max_density = 0.5;
-  /// A row with at least this many sketch-counted reads since the last
-  /// decay is "hot" and is not demoted.
-  std::uint32_t hot_reads = 1;
-  /// A sparse row with at least this many reads is promoted back to
-  /// dense (gather once, then O(1) row reads until it cools again).
-  std::uint32_t promote_reads = 4;
-  /// Rows examined per publish by the background clock sweep that demotes
-  /// cold rows batches never touch and promotes re-heated ones. Bounds
-  /// the per-epoch policy cost independently of n.
-  std::size_t scan_rows_per_publish = 256;
 };
 
 /// Serving-layer knobs.
@@ -131,47 +122,13 @@ struct ServiceOptions {
   int scheduler_group = -1;
   /// Tiered sparse row storage (off by default; see SparsityPolicy).
   SparsityPolicy sparse;
-  /// Adapts per-node top-k index capacities to traffic: a node whose
-  /// TopKFor fell back to the row scan because its entry was too short
-  /// has its capacity doubled at the next publish (clamped to 2× the
-  /// base, re-ranked from the published bytes), and cold grown nodes
-  /// decay back to the base capacity by entry truncation (no rescan).
-  /// Requires topk_index_capacity > 0 to have any effect.
-  bool adaptive_topk_index = false;
 };
 
-/// Fixed-size lossy read-traffic sketch: 2¹⁴ hashed slots of relaxed
-/// atomic counters (64 KiB), bumped by reader threads on the query path
-/// and halved by the applier at each publish. Collisions only ever make a
-/// row look HOTTER than it is — the safe direction for a demotion policy
-/// (a falsely-hot row just stays dense a little longer). Fixed capacity
-/// on purpose: readers index the array lock-free, so it can never be
-/// resized under them.
-class TrafficSketch {
- public:
-  void Bump(graph::NodeId id) const {
-    slots_[Slot(id)].fetch_add(1, std::memory_order_relaxed);
-  }
-  std::uint32_t Count(graph::NodeId id) const {
-    return slots_[Slot(id)].load(std::memory_order_relaxed);
-  }
-  /// Exponential decay (halving) so "hot" means recent, not historical.
-  void Decay() {
-    for (std::atomic<std::uint32_t>& slot : slots_) {
-      slot.store(slot.load(std::memory_order_relaxed) >> 1,
-                 std::memory_order_relaxed);
-    }
-  }
-
- private:
-  static constexpr std::size_t kSlotBits = 14;
-  static std::size_t Slot(graph::NodeId id) {
-    // Knuth multiplicative hash; top kSlotBits of the 32-bit product.
-    return (static_cast<std::uint32_t>(id) * 2654435761u) >> (32 - kSlotBits);
-  }
-  mutable std::array<std::atomic<std::uint32_t>, std::size_t{1} << kSlotBits>
-      slots_{};
-};
+/// The check Create and CreateReplica run: queue_capacity and max_batch
+/// >= 1, sparse.epsilon finite and >= 0, sparse.max_density in (0, 1].
+/// InvalidArgument otherwise (a NaN fails). Front ends call it right after
+/// parsing, before building an index.
+Status ValidateOptions(const ServiceOptions& options);
 
 /// Counter snapshot of service activity, declared as one field table
 /// (obs/stats_schema.h). The table order is also the wire order of the
@@ -180,14 +137,13 @@ class TrafficSketch {
 /// freezes into its EpochSnapshot; stats() overlays the reader- and
 /// submitter-side fields.
 ///
-/// Top-k index fields are all zero when topk_index_capacity = 0 (and the
-/// capacity moves unless adaptive_topk_index); every TopKFor cache miss
-/// is either index-served or a fallback. rows_published / applied is the
-/// publish amplification (a full-copy snapshot would pay n rows per
-/// batch). The tiered-storage fields stay zero while SparsityPolicy is
-/// disabled; tier_demotions / tier_promotions count publish-time policy
-/// moves, while write-path densification is rows_spilled_dense. The two
-/// histograms merge bucket-wise across shards.
+/// Top-k index fields are all zero when topk_index_capacity = 0; every
+/// TopKFor cache miss is either index-served or a fallback.
+/// rows_published / applied is the publish amplification (a full-copy
+/// snapshot would pay n rows per batch). The tiered-storage fields stay
+/// zero while SparsityPolicy is disabled; tier_demotions counts the
+/// Create and publish-time demotions, while write-path densification is
+/// rows_spilled_dense. The two histograms merge bucket-wise across shards.
 #define INCSR_SERVICE_STATS(X)                                              \
   X(epoch, std::uint64_t, kMax, "",                                         \
     "sequence number of the published snapshot")                           \
@@ -201,10 +157,6 @@ class TrafficSketch {
     "TopKPairs misses answered by the k-way merge over the index")         \
   X(topk_pairs_fallbacks, std::uint64_t, kSum, "queries",                   \
     "TopKPairs misses that fell back to the O(n^2) pair scan")             \
-  X(topk_cap_grows, std::uint64_t, kSum, "nodes",                           \
-    "adaptive index capacity doublings")                                   \
-  X(topk_cap_shrinks, std::uint64_t, kSum, "nodes",                         \
-    "adaptive index capacity decays")                                      \
   X(rows_published, std::uint64_t, kSum, "rows",                            \
     "score rows copy-on-written to keep snapshots immutable")              \
   X(bytes_published, std::uint64_t, kSum, "bytes",                          \
@@ -222,9 +174,7 @@ class TrafficSketch {
   X(sparse_max_error_bound, double, kMax, "score",                          \
     "upper bound on |served - exact| score")                               \
   X(tier_demotions, std::uint64_t, kSum, "rows",                            \
-    "publish-time dense-to-sparse moves")                                  \
-  X(tier_promotions, std::uint64_t, kSum, "rows",                           \
-    "publish-time sparse-to-dense moves")                                  \
+    "Create and publish-time dense-to-sparse moves")                       \
   X(rows_spilled_dense, std::uint64_t, kSum, "rows",                        \
     "sparse rows the write path densified")                                \
   X(sparse_write_merges, std::uint64_t, kSum, "rows",                       \
@@ -374,24 +324,18 @@ class SimRankService {
   /// invalid updates), publishes the resulting epoch, and notifies the
   /// applied-batch listener.
   void ApplyAndPublish(const std::vector<graph::EdgeUpdate>& batch);
-  /// Publishes an epoch: runs the tier / capacity policies, snapshots
-  /// graph + scores + top-k index, re-ranking index entries and
-  /// invalidating cached queries for exactly the rows the batch wrote
-  /// (the store's touched-row delta, which the policies extend with the
-  /// rows they re-tiered). Returns the epoch.
+  /// Publishes an epoch: runs the tier policy, snapshots graph + scores +
+  /// top-k index, re-ranking index entries and invalidating cached
+  /// queries for exactly the rows the batch wrote (the store's touched-row
+  /// delta, which already holds every row the tier policy demoted).
+  /// Returns the epoch.
   std::uint64_t Publish();
-  /// Tier policy (applier, inside Publish BEFORE the touched-row capture):
-  /// demotes cold dense rows to the sparse layout — batch-touched rows
-  /// that write-densified but drew no reads, plus a bounded clock sweep
-  /// over the rest — and promotes re-heated sparse rows. Re-tiered rows
-  /// land in the store's touched delta, so the single re-rank /
-  /// invalidation pass downstream covers them too.
+  /// Tier policy (applier, inside Publish BEFORE the touched-row capture,
+  /// and once at Create): demotes dense rows to the sparse layout — every
+  /// row when `all_touched`, else the rows the batch wrote. Reads play no
+  /// part. Demoted rows are already in the touched delta, so the single
+  /// re-rank / invalidation pass downstream covers them too.
   void ApplyTierPolicy(bool all_touched);
-  /// Adaptive capacity policy (applier, inside Publish): drains the
-  /// fallback queue into capacity grows (rows appended to *rerank for the
-  /// downstream rebuild) and decays cold grown nodes back to the base
-  /// capacity by truncation.
-  void AdaptTopKCapacities(std::vector<std::int32_t>* rerank);
   /// Reads the store's, graph's and index's cumulative accounting into
   /// applier_stats_ and freezes that into the epoch being published.
   void CaptureStats(EpochSnapshot* next);
@@ -428,21 +372,8 @@ class SimRankService {
   mutable TopKQueryCache cache_;
   TopKIndex topk_index_;  // applier thread only; readers use snapshot views
 
-  // ---- Tiered storage + adaptive capacity ---------------------------------
-  const bool tiering_;        // options_.sparse.enabled
-  const bool adaptive_topk_;  // adaptive_topk_index && index enabled
-  TrafficSketch sketch_;      // bumped by readers when either policy is on
-  std::size_t tier_clock_ = 0;  // applier: clock hand of the tier sweep
-  std::size_t cap_clock_ = 0;   // applier: clock hand of the shrink sweep
-  // Applier: rows the previous publish grew (sorted), exempt from this
-  // publish's shrink — the decay that closed the growing publish may have
-  // zeroed the read that earned the grow.
-  std::vector<std::int32_t> last_grown_;
+  const bool tiering_;                    // options_.sparse.enabled
   std::vector<std::int32_t> keep_cols_;  // applier scratch for SparsifyRow
-  // Nodes whose TopKFor fell back past their entry, pending a capacity
-  // grow at the next publish. Bounded; written by reader threads.
-  mutable std::mutex grow_mu_;
-  mutable std::vector<graph::NodeId> grow_queue_;
 
   // Applier-private counters (applier thread, or the serialized
   // replication caller); each publish copies them into its snapshot.

@@ -114,33 +114,6 @@ bool TopKIndex::View::ServePairs(std::size_t k,
   return false;
 }
 
-std::size_t TopKIndex::NodeCapacity(std::size_t row) const {
-  if (caps_.empty() || row >= caps_.size()) return capacity_;
-  return caps_[row];
-}
-
-std::size_t TopKIndex::SetNodeCapacity(std::size_t row, std::size_t capacity) {
-  if (capacity_ == 0) return 0;
-  INCSR_CHECK(row < entries_.size(), "SetNodeCapacity: row %zu out of %zu",
-              row, entries_.size());
-  const std::size_t floor = std::max<std::size_t>(1, capacity_ / 4);
-  const std::size_t clamped =
-      std::clamp(capacity, floor, capacity_ * 2);
-  if (caps_.empty()) caps_.assign(entries_.size(), static_cast<std::uint32_t>(capacity_));
-  caps_[row] = static_cast<std::uint32_t>(clamped);
-  const std::shared_ptr<const Entry>& entry = entries_.slot(row);
-  if (entry != nullptr && entry->items.size() > clamped) {
-    // Shrink by prefix truncation: the entry is the contract-ordered
-    // top-|items| of its row, so its first `clamped` items are exactly the
-    // top-`clamped` — no rescan.
-    auto truncated = std::make_shared<Entry>();
-    truncated->items.assign(entry->items.begin(),
-                            entry->items.begin() + clamped);
-    entries_.Set(row, std::move(truncated));
-  }
-  return clamped;
-}
-
 std::span<const core::ScoredPair> TopKIndex::EntryItems(std::size_t row) const {
   if (row >= entries_.size() || entries_.slot(row) == nullptr) return {};
   return entries_[row].items;
@@ -153,7 +126,7 @@ std::shared_ptr<const TopKIndex::Entry> TopKIndex::BuildEntry(
   // truncated at capacity instead of k — which is what makes index-served
   // results bitwise identical to the fallback.
   entry->items = core::TopKForOf(scores, static_cast<graph::NodeId>(row),
-                                 NodeCapacity(row));
+                                 capacity_);
   ++rows_reranked_;
   return entry;
 }
@@ -175,9 +148,6 @@ void TopKIndex::RebuildAll(const la::ScoreStore& scores) {
   if (capacity_ == 0) return;
   TRACE_SCOPE_ARG(kRerank, scores.rows());
   entries_.Resize(scores.rows(), nullptr);
-  if (!caps_.empty()) {
-    caps_.resize(entries_.size(), static_cast<std::uint32_t>(capacity_));
-  }
   for (std::size_t row = 0; row < entries_.size(); ++row) {
     entries_.Set(row, BuildEntry(scores, row));
   }

@@ -101,21 +101,8 @@ class TopKIndex {
   explicit TopKIndex(std::size_t capacity) : capacity_(capacity) {}
 
   bool enabled() const { return capacity_ > 0; }
-  /// Base (default per-node) capacity; see NodeCapacity for adapted rows.
+  /// Candidates kept per node: every entry is ranked to this depth.
   std::size_t capacity() const { return capacity_; }
-
-  /// Effective capacity of `row`: the base capacity unless the serving
-  /// layer adapted it with SetNodeCapacity. Writer thread only.
-  std::size_t NodeCapacity(std::size_t row) const;
-
-  /// Sets `row`'s capacity, clamped to [max(1, base/4), 2·base], and
-  /// returns the clamped value. A SHRINK below the current entry size
-  /// truncates the entry in place — a prefix of the contract total order
-  /// is itself exact, so no row rescan is needed. A GROW does not refill
-  /// the entry: the caller re-ranks the row (RebuildRows) to earn the
-  /// longer prefix. No-op (returns base) when the index is disabled.
-  /// Writer thread only.
-  std::size_t SetNodeCapacity(std::size_t row, std::size_t capacity);
 
   /// The candidates currently stored for `row` (empty when the index is
   /// disabled or the entry is not built yet). This is the protected keep
@@ -150,9 +137,6 @@ class TopKIndex {
   const std::size_t capacity_;
   std::uint64_t rows_reranked_ = 0;
   CowTable<Entry> entries_;
-  // Per-node capacity overrides; empty until the first SetNodeCapacity
-  // (the common all-default case pays nothing).
-  std::vector<std::uint32_t> caps_;
 };
 
 }  // namespace incsr::service

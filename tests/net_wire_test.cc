@@ -211,10 +211,7 @@ TEST(WireRoundTrip, StatsResponse) {
   in.stats.sparse_eps_drops = 42;
   in.stats.sparse_max_error_bound = 1.25e-4;
   in.stats.tier_demotions = 12;
-  in.stats.tier_promotions = 7;
   in.stats.graph_bytes_copied = 2048;
-  in.stats.topk_cap_grows = 3;
-  in.stats.topk_cap_shrinks = 2;
   in.stats.rows_spilled_dense = 9;
   in.stats.sparse_write_merges = 811;
   // v4 latency histograms, populated through the real recorder so the
@@ -259,10 +256,7 @@ TEST(WireRoundTrip, StatsResponse) {
   EXPECT_EQ(out.stats.sparse_eps_drops, 42u);
   EXPECT_EQ(out.stats.sparse_max_error_bound, 1.25e-4);
   EXPECT_EQ(out.stats.tier_demotions, 12u);
-  EXPECT_EQ(out.stats.tier_promotions, 7u);
   EXPECT_EQ(out.stats.graph_bytes_copied, 2048u);
-  EXPECT_EQ(out.stats.topk_cap_grows, 3u);
-  EXPECT_EQ(out.stats.topk_cap_shrinks, 2u);
   EXPECT_EQ(out.stats.rows_spilled_dense, 9u);
   EXPECT_EQ(out.stats.sparse_write_merges, 811u);
   EXPECT_EQ(out.stats.queue_wait_ns.count, 5u);

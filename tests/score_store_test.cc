@@ -125,7 +125,10 @@ TEST(ScoreStore, PinnedViewIsImmutableAcrossManyEpochs) {
 TEST(ScoreStore, GrowByIsolatedNodeKeepsTiersAndOldViewsSurvive) {
   // Mixed tiers: rows 0-2 stay sparse (identity rows), rows 3-5 dense.
   ScoreStore store = ScoreStore::ScaledIdentity(6, 0.4);
-  for (std::size_t i = 3; i < 6; ++i) ASSERT_TRUE(store.DensifyRow(i));
+  // A write session spilled by Dense() makes a row dense; the content
+  // stays the identity row.
+  for (std::size_t i = 3; i < 6; ++i) SetEntry(&store, i, i, 0.4);
+  for (std::size_t i = 3; i < 6; ++i) ASSERT_FALSE(store.RowIsSparse(i));
   SetEntry(&store, 4, 1, 0.25);
   ScoreStore::View old_view = store.Publish();
   DenseMatrix old_bytes = old_view.ToDense();

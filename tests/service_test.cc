@@ -321,6 +321,94 @@ TEST(SimRankService, PinnedSnapshotStaysByteStableAcrossEpochs) {
   EXPECT_EQ(la::MaxAbsDiff(pinned->scores, pinned_bytes), 0.0);
 }
 
+// A row's tier and an index entry's depth follow only from writes: a
+// tiered primary that serves a hot node set between single-update epochs
+// ends in exactly the state of a replica that replays its batches and
+// serves nothing. Then fallbacks past an entry's depth, followed by a
+// publish, leave the entry as it was.
+TEST(SimRankService, ReadsNeverMoveARow) {
+  constexpr std::size_t kNodes = 64;
+  constexpr std::size_t kCapacity = 4;
+  for (double epsilon : {0.0, 1e-3}) {
+    SCOPED_TRACE(epsilon);
+    const DynamicDiGraph graph = TestGraph(23, kNodes, 48);
+    ServiceOptions options;
+    options.cache_capacity = 0;  // every read reaches the snapshot
+    options.topk_index_capacity = kCapacity;
+    options.sparse.enabled = true;
+    options.sparse.epsilon = epsilon;
+    // The replica is declared first so it outlives the primary, whose
+    // applier calls into it.
+    auto index = DynamicSimRank::Create(graph, Converged());
+    ASSERT_TRUE(index.ok());
+    auto made =
+        SimRankService::CreateReplica(std::move(index).value(), options);
+    ASSERT_TRUE(made.ok());
+    std::unique_ptr<SimRankService> replica = std::move(made).value();
+    auto primary = MakeService(graph, options);
+    std::atomic<int> replay_failures{0};
+    primary->SetAppliedBatchListener(
+        [&](std::uint64_t seq, const std::vector<EdgeUpdate>& batch) {
+          if (!replica->ApplyReplicated(seq, batch).ok()) ++replay_failures;
+        });
+
+    Rng rng(29);
+    auto inserts = graph::SampleInsertions(graph, 64, &rng);
+    ASSERT_TRUE(inserts.ok());
+    for (const EdgeUpdate& update : inserts.value()) {
+      for (graph::NodeId hot = 0; hot < 8; ++hot) {
+        for (int read = 0; read < 4; ++read) {
+          ASSERT_TRUE(primary->TopKFor(hot, kCapacity - 1).ok());
+          ASSERT_TRUE(primary->Score(hot, (hot + 1 + read) % kNodes).ok());
+        }
+      }
+      ASSERT_TRUE(primary->Submit(update).ok());
+      ASSERT_TRUE(primary->Flush().ok());
+    }
+    EXPECT_EQ(replay_failures.load(), 0);
+
+    auto served = primary->Snapshot();
+    auto replayed = replica->Snapshot();
+    ASSERT_EQ(served->epoch, replayed->epoch);
+    for (std::size_t row = 0; row < kNodes; ++row) {
+      EXPECT_EQ(served->scores.RowIsSparse(row),
+                replayed->scores.RowIsSparse(row))
+          << "row " << row;
+    }
+    const ServiceStats p = primary->stats();
+    const ServiceStats r = replica->stats();
+    EXPECT_GT(r.rows_sparse, 0u);  // the tiered path really ran
+    EXPECT_EQ(p.rows_sparse, r.rows_sparse);
+    EXPECT_EQ(p.rows_dense, r.rows_dense);
+    EXPECT_EQ(p.bytes_saved, r.bytes_saved);
+    EXPECT_EQ(p.sparse_max_error_bound, r.sparse_max_error_bound);
+    EXPECT_TRUE(
+        la::BitwiseEqual(served->scores.ToDense(), replayed->scores.ToDense()));
+
+    // Fallbacks past the entry's depth do not deepen it: after them and a
+    // publish (a duplicate insert validates to an empty batch, so no row
+    // is written) the entry is the same kCapacity items.
+    const graph::NodeId query = 5;
+    std::vector<ScoredPair> before;
+    ASSERT_TRUE(served->topk.Serve(query, kCapacity, &before));
+    ASSERT_EQ(before.size(), kCapacity);
+    const std::uint64_t fallbacks = p.topk_index_fallbacks;
+    for (int read = 0; read < 8; ++read) {
+      ASSERT_TRUE(primary->TopKFor(query, 2 * kCapacity).ok());
+    }
+    EXPECT_EQ(primary->stats().topk_index_fallbacks, fallbacks + 8);
+    const EdgeUpdate duplicate = inserts.value().front();
+    ASSERT_TRUE(primary->Submit(duplicate).ok());
+    ASSERT_TRUE(primary->Flush().ok());
+    auto after_publish = primary->Snapshot();
+    ASSERT_GT(after_publish->epoch, served->epoch);
+    std::vector<ScoredPair> after;
+    ASSERT_TRUE(after_publish->topk.Serve(query, kCapacity, &after));
+    EXPECT_EQ(after, before);
+    EXPECT_FALSE(after_publish->topk.Serve(query, kCapacity + 1, &after));
+  }
+}
+
 TEST(SimRankService, InvalidUpdatesAreSkippedNotFatal) {
   DynamicDiGraph graph = TestGraph(31);
   auto edges = graph.Edges();

@@ -8,10 +8,9 @@
 //     recorded error bound at eps > 0 — per UpdateAlgorithm, and through
 //     the sharded facade at shard counts 1 and 4.
 //   - Concurrency: a pinned view's bytes survive tier migration
-//     (SparsifyRow/DensifyRow) racing reader checksums. TSan-clean; CI
-//     runs this suite under -fsanitize=thread and -fsanitize=address.
-//   - Adaptive per-node top-k capacity: clamp/truncate mechanics and the
-//     fallback -> grow -> index-served loop through the service.
+//     (SparsifyRow demotions, merges spilled by the density gate) and
+//     dense copy-on-write racing reader checksums. TSan-clean; CI runs
+//     this suite under -fsanitize=thread and -fsanitize=address.
 //   - CreateIsolated: the sparse-direct (1-C)I entry point matches the
 //     dense Create on an edgeless graph, before and after inserts.
 //   - Stored-entry read: ForEachStored visits exactly the entries that are
@@ -93,9 +92,9 @@ TEST(SparseRowBlock, DropRuleKeepsLargeAndProtectedEntries) {
   EXPECT_DOUBLE_EQ(store.stats().max_error_bound, 0.02 * 2.5);
   EXPECT_GT(store.bytes_saved(), 0u);
 
-  // Promotion restores the dense layout with the drops baked in (the
-  // bound persists — the information is gone).
-  ASSERT_TRUE(store.DensifyRow(0));
+  // A write that spills the row back to dense keeps the drops baked in
+  // (the bound persists — the information is gone).
+  SetEntryDense(&store, 0, 4, 0.25);
   EXPECT_FALSE(store.RowIsSparse(0));
   EXPECT_EQ(store(0, 3), 0.0);
   EXPECT_DOUBLE_EQ(store.stats().max_error_bound, 0.02 * 2.5);
@@ -175,7 +174,8 @@ TEST(SparseRowBlock, TierMovesLandInTouchedDeltaAndViewsStayStable) {
 
   la::ScoreStore::View second = store.Publish();
   EXPECT_TRUE(second.RowIsSparse(4));
-  ASSERT_TRUE(store.DensifyRow(4));
+  SetEntryDense(&store, 4, 0, 0.0);  // spills to dense, same content
+  EXPECT_FALSE(store.RowIsSparse(4));
   ASSERT_EQ(store.touched_rows().size(), 1u);
   EXPECT_EQ(store.touched_rows()[0], 4);
   EXPECT_TRUE(second.RowIsSparse(4));  // the pinned sparse view is stable
@@ -199,8 +199,6 @@ service::ServiceOptions TieredOptions(double epsilon) {
   options.sparse.enabled = true;
   options.sparse.epsilon = epsilon;
   options.sparse.max_density = 1.0;  // compress whenever allowed
-  options.sparse.hot_reads = 1;      // demote anything the sketch missed
-  options.sparse.scan_rows_per_publish = 1024;
   return options;
 }
 
@@ -369,7 +367,11 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
     for (std::size_t j = 0; j < n; j += 2) initial.RowPtr(i)[j] = 0.0;
   }
   la::ScoreStore store((la::DenseMatrix(initial)));
-  store.set_sparsity({.epsilon = 0.0, .max_density = 1.0});
+  // ε = 0.5 keeps a demoted row at most half full (even columns start at
+  // zero and every later write stays below ε, so only odd columns ever
+  // hold entries >= ε): every demotion passes the density gate, and a
+  // merge into all columns fails it.
+  store.set_sparsity({.epsilon = 0.5, .max_density = 0.5});
 
   std::mutex mu;
   auto latest = std::make_shared<const la::ScoreStore::View>(store.Publish());
@@ -405,19 +407,27 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
   }
 
   Rng rng(55);
+  la::RowWriter writer;
   for (int epoch = 0; epoch < 200; ++epoch) {
-    // Tier churn + writes: every epoch demotes a band, promotes another,
-    // and writes through a third (a session spilled to dense).
+    // Tier churn + writes: every epoch demotes a band, spills a demoted
+    // band to dense through the write path's density gate, and writes a
+    // spilled band in place (dense copy-on-write). Written values stay
+    // below ε, so the next demotion drops them again.
     for (std::size_t i = 0; i < n; ++i) {
       switch ((i + static_cast<std::size_t>(epoch)) % 3) {
         case 0:
           store.SparsifyRow(i, {});
           break;
         case 1:
-          store.DensifyRow(i);
+          store.BeginWriteRow(i, &writer);
+          for (std::size_t j = 0; j < n; ++j) {
+            writer.Add(j, 0.5 * rng.NextDouble());
+          }
+          store.CommitWriteRow(&writer);
           break;
         default:
-          SetEntryDense(&store, i, rng.NextBounded(n), rng.NextDouble());
+          SetEntryDense(&store, i, rng.NextBounded(n),
+                        0.5 * rng.NextDouble());
       }
     }
     auto next = std::make_shared<const la::ScoreStore::View>(store.Publish());
@@ -428,117 +438,9 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
   for (std::thread& t : readers) t.join();
   EXPECT_GT(checks.load(), 0u);
   EXPECT_GT(store.stats().rows_sparsified, 0u);
-  EXPECT_GT(store.stats().rows_densified, 0u);
-}
-
-// ---- Adaptive per-node top-k capacity --------------------------------------
-
-TEST(AdaptiveTopK, NodeCapacityClampsAndTruncates) {
-  la::ScoreStore scores(TestMatrix(12, 12, 13));
-  service::TopKIndex index(/*capacity=*/4);
-  index.RebuildAll(scores);
-  EXPECT_EQ(index.NodeCapacity(3), 4u);
-  EXPECT_EQ(index.EntryItems(3).size(), 4u);
-
-  // Clamp: [max(1, base/4), 2*base] = [1, 8].
-  EXPECT_EQ(index.SetNodeCapacity(3, 100), 8u);
-  EXPECT_EQ(index.NodeCapacity(3), 8u);
-  // A grow does not refill by itself: the entry is re-earned by a rebuild.
-  EXPECT_EQ(index.EntryItems(3).size(), 4u);
-  const std::int32_t rows[] = {3};
-  index.RebuildRows(scores, rows);
-  EXPECT_EQ(index.EntryItems(3).size(), 8u);
-
-  // Shrink truncates in place to an exact prefix of the contract order.
-  auto before = std::vector<core::ScoredPair>(index.EntryItems(3).begin(),
-                                              index.EntryItems(3).end());
-  EXPECT_EQ(index.SetNodeCapacity(3, 0), 1u);
-  ASSERT_EQ(index.EntryItems(3).size(), 1u);
-  EXPECT_EQ(index.EntryItems(3)[0], before[0]);
-  // Unadapted rows are untouched.
-  EXPECT_EQ(index.NodeCapacity(5), 4u);
-  EXPECT_EQ(index.EntryItems(5).size(), 4u);
-}
-
-TEST(AdaptiveTopK, ServiceGrowsCapacityAfterFallback) {
-  auto seed = graph::ErdosRenyiGnm(16, 40, 19);
-  ASSERT_TRUE(seed.ok());
-  auto graph = graph::MaterializeGraph(16, seed.value());
-  simrank::SimRankOptions sr;
-  sr.damping = 0.6;
-  sr.iterations = 8;
-  auto index = core::DynamicSimRank::Create(graph, sr);
-  ASSERT_TRUE(index.ok());
-  service::ServiceOptions options;
-  options.topk_index_capacity = 4;
-  options.adaptive_topk_index = true;
-  options.cache_capacity = 0;  // every query exercises the index path
-  auto service =
-      service::SimRankService::Create(std::move(index).value(), options);
-  ASSERT_TRUE(service.ok());
-
-  // k = 8 is past the base entry (4) but within the 2x clamp: fallback.
-  const graph::NodeId query = 3;
-  auto first = (*service)->TopKFor(query, 8);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);
-
-  // The next publish drains the grow queue and re-ranks the row.
-  auto stream = InsertStream(graph, 2, 29);
-  for (const graph::EdgeUpdate& u : stream) {
-    ASSERT_TRUE((*service)->Submit(u).ok());
-  }
-  ASSERT_TRUE((*service)->Flush().ok());
-  EXPECT_GE((*service)->stats().topk_cap_grows, 1u);
-
-  // Same query now rides the grown entry — and matches the row scan.
-  auto second = (*service)->TopKFor(query, 8);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*service)->stats().topk_index_served, 1u);
-  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);  // unchanged
-  auto snapshot = (*service)->Snapshot();
-  EXPECT_EQ(*second, core::TopKForOf(snapshot->scores, query, 8));
-}
-
-// A grown capacity must outlive the publish after the grow: the decay that
-// closes the growing publish may zero the very read that earned it, so the
-// next publish's shrink clock would otherwise halve the entry straight
-// back (one Submit + Flush per update = two publishes before the query).
-TEST(AdaptiveTopK, GrownCapacitySurvivesTheNextPublish) {
-  auto seed = graph::ErdosRenyiGnm(16, 40, 19);
-  ASSERT_TRUE(seed.ok());
-  auto graph = graph::MaterializeGraph(16, seed.value());
-  simrank::SimRankOptions sr;
-  sr.damping = 0.6;
-  sr.iterations = 8;
-  auto index = core::DynamicSimRank::Create(graph, sr);
-  ASSERT_TRUE(index.ok());
-  service::ServiceOptions options;
-  options.topk_index_capacity = 4;
-  options.adaptive_topk_index = true;
-  options.cache_capacity = 0;  // every query exercises the index path
-  auto service =
-      service::SimRankService::Create(std::move(index).value(), options);
-  ASSERT_TRUE(service.ok());
-
-  const graph::NodeId query = 3;
-  ASSERT_TRUE((*service)->TopKFor(query, 8).ok());
-  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);
-
-  auto stream = InsertStream(graph, 2, 29);
-  for (const graph::EdgeUpdate& u : stream) {
-    ASSERT_TRUE((*service)->Submit(u).ok());
-    ASSERT_TRUE((*service)->Flush().ok());
-  }
-  EXPECT_GE((*service)->stats().topk_cap_grows, 1u);
-  EXPECT_EQ((*service)->stats().topk_cap_shrinks, 0u);
-
-  auto second = (*service)->TopKFor(query, 8);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*service)->stats().topk_index_served, 1u);
-  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);  // unchanged
-  auto snapshot = (*service)->Snapshot();
-  EXPECT_EQ(*second, core::TopKForOf(snapshot->scores, query, 8));
+  EXPECT_GT(store.stats().rows_spilled_dense, 0u);
+  EXPECT_EQ(store.stats().sparse_write_merges, 0u);  // every merge spilled
+  EXPECT_GT(store.stats().rows_copied, 0u);
 }
 
 // ---- CreateIsolated --------------------------------------------------------

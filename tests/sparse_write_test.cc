@@ -4,17 +4,17 @@
 //     deltas), exact +0.0 merge results elide losslessly, the max_density
 //     gate spills to dense, kernels may spill explicitly via Dense(), and
 //     an untouched session is a no-op.
-//   - Counter split: write-path spills (rows_spilled_dense) and explicit
-//     promotions (rows_densified) count separately; their sum is the old
-//     conflated counter. epoch_peak_dense_bytes watermarks the transient
-//     dense footprint and resets at Publish().
+//   - Counters: write-path spills count in rows_spilled_dense;
+//     epoch_peak_dense_bytes watermarks the transient dense footprint and
+//     resets at Publish().
 //   - Service equivalence: a tiered service on the sparse-native write
 //     path agrees bitwise with a dense-backed service (sparsity off) at
 //     eps = 0 and stays within its own recorded error bound at eps > 0,
 //     per UpdateAlgorithm. CI runs this suite at INCSR_THREADS 1 and 4
 //     under TSan and ASan.
 //   - Concurrency: pinned View bytes survive concurrent sparse merge
-//     commits (including the writer-private in-place swap) and tier moves.
+//     commits (including the writer-private in-place swap), write-path
+//     spills and demotions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -143,7 +143,6 @@ TEST(RowWriterSession, MaxDensityGateSpillsToDense) {
 
   EXPECT_FALSE(store.RowIsSparse(1));
   EXPECT_EQ(store.stats().rows_spilled_dense, 1u);
-  EXPECT_EQ(store.stats().rows_densified, 0u);  // not a tier promotion
   EXPECT_EQ(store.stats().rows_sparse, 7u);
   EXPECT_EQ(store(1, 1), 0.4);  // base entry survived the spill gather
   for (std::size_t col = 2; col < 6; ++col) EXPECT_EQ(store(1, col), 0.125);
@@ -211,19 +210,7 @@ TEST(RowWriterSession, CommitCopiesOnWriteThenMergesInPlace) {
   EXPECT_EQ(store.touched_rows().size(), 1u);
 }
 
-// ---- Counter split and the transient-dense watermark -----------------------
-
-TEST(StoreCounters, WriteSpillsAndPromotionsCountSeparately) {
-  la::ScoreStore store = SparseIdentity(8, 0.4);
-  SpillWrite(&store, 0, 3, 1.0);     // a write-path spill
-  ASSERT_TRUE(store.DensifyRow(1));  // an explicit tier promotion
-  EXPECT_EQ(store.stats().rows_spilled_dense, 1u);
-  EXPECT_EQ(store.stats().rows_densified, 1u);
-  // Sum continuity with the pre-split conflated counter.
-  EXPECT_EQ(store.stats().rows_spilled_dense + store.stats().rows_densified,
-            2u);
-  EXPECT_EQ(store.stats().rows_sparse, 6u);
-}
+// ---- The transient-dense watermark ------------------------------------------
 
 TEST(StoreCounters, EpochPeakDenseBytesWatermarksAndResets) {
   const std::size_t n = 8;
@@ -261,8 +248,6 @@ service::ServiceOptions TieredOptions(double epsilon) {
   options.sparse.enabled = true;
   options.sparse.epsilon = epsilon;
   options.sparse.max_density = 1.0;  // compress whenever allowed
-  options.sparse.hot_reads = 1;      // demote anything the sketch missed
-  options.sparse.scan_rows_per_publish = 1024;
   return options;
 }
 
@@ -384,7 +369,8 @@ TEST(SparseWriteConcurrency, PinnedViewStaysByteStableUnderMergeCommits) {
   la::RowWriter w;
   for (int epoch = 0; epoch < 200; ++epoch) {
     // Merge-write a band (COW on the first commit per epoch, then the
-    // writer-private in-place swap), and churn tiers through the rest.
+    // writer-private in-place swap), spill a band to dense through the
+    // write path, and demote the rest.
     for (std::size_t i = 0; i < n; ++i) {
       switch ((i + static_cast<std::size_t>(epoch)) % 3) {
         case 0:
@@ -394,7 +380,7 @@ TEST(SparseWriteConcurrency, PinnedViewStaysByteStableUnderMergeCommits) {
           store.CommitWriteRow(&w);
           break;
         case 1:
-          store.DensifyRow(i);
+          SpillWrite(&store, i, rng.NextBounded(n), rng.NextDouble());
           break;
         default:
           store.SparsifyRow(i, {});
@@ -408,7 +394,7 @@ TEST(SparseWriteConcurrency, PinnedViewStaysByteStableUnderMergeCommits) {
   for (std::thread& t : readers) t.join();
   EXPECT_GT(checks.load(), 0u);
   EXPECT_GT(store.stats().sparse_write_merges, 0u);
-  EXPECT_GT(store.stats().rows_densified, 0u);
+  EXPECT_GT(store.stats().rows_spilled_dense, 0u);
   EXPECT_GT(store.stats().rows_sparsified, 0u);
 }
 

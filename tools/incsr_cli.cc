@@ -12,7 +12,6 @@
 //             [--backpressure block|reject] [--damping C] [--iterations K]
 //             [--threads T] [--shards S] [--index-capacity C]
 //             [--sparse-eps E] [--sparse-max-density D]
-//             [--sparse-scan-rows N] [--adaptive-index]
 //
 //   incsr_cli serve <edge_list> --listen HOST:PORT [--updates FILE]
 //             [--replica-of HOST:PORT] [--replication-backlog N] [...]
@@ -96,8 +95,7 @@ void PrintUsage(const char* prog) {
       "          [--backpressure block|reject] [--damping C]\n"
       "          [--iterations K] [--threads T] [--shards S]\n"
       "          [--index-capacity C] [--sparse-eps E]\n"
-      "          [--sparse-max-density D] [--sparse-scan-rows N]\n"
-      "          [--adaptive-index] [--trace-out FILE]\n"
+      "          [--sparse-max-density D] [--trace-out FILE]\n"
       "          [--trace-buffer-kb N]\n"
       "       %s serve <edge_list> --listen HOST:PORT [--updates FILE]\n"
       "          [--replica-of HOST:PORT] [--replication-backlog N] [...]\n"
@@ -353,9 +351,6 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
       if (!v.ok()) return v.status();
       auto eps = ParseFiniteDouble(flag, *v);
       if (!eps.ok()) return eps.status();
-      if (!(*eps >= 0.0)) {
-        return Status::InvalidArgument("--sparse-eps must be >= 0");
-      }
       options.service.sparse.enabled = true;
       options.service.sparse.epsilon = *eps;
     } else if (flag == "--sparse-max-density") {
@@ -363,17 +358,7 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
       if (!v.ok()) return v.status();
       auto density = ParseFiniteDouble(flag, *v);
       if (!density.ok()) return density.status();
-      if (!(*density > 0.0 && *density <= 1.0)) {
-        return Status::InvalidArgument(
-            "--sparse-max-density must be in (0, 1]");
-      }
       options.service.sparse.max_density = *density;
-    } else if (flag == "--sparse-scan-rows") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.service.sparse.scan_rows_per_publish = *v;
-    } else if (flag == "--adaptive-index") {
-      options.service.adaptive_topk_index = true;
     } else if (flag == "--backpressure") {
       auto v = next();
       if (!v.ok()) return v.status();
@@ -433,6 +418,9 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
       return Status::InvalidArgument("unknown serve flag '" + flag + "'");
     }
   }
+  // The services' own check, run here so a bad value fails before the
+  // O(n²) index build rather than after it.
+  INCSR_RETURN_IF_ERROR(service::ValidateOptions(options.service));
   if (options.listen.empty()) {
     if (!options.replica_of.empty()) {
       return Status::InvalidArgument("--replica-of requires --listen");
