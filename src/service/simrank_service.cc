@@ -493,6 +493,7 @@ void SimRankService::CaptureStats(EpochSnapshot* next) {
   out.sparse_write_merges = store_stats.sparse_write_merges;
   out.graph_bytes_copied = index_.graph().cow_bytes_copied();
   out.topk_index_rows_reranked = topk_index_.rows_reranked();
+  out.topk_index_rows_patched = topk_index_.rows_patched();
   next->stats = out;
 }
 

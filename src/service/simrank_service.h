@@ -33,9 +33,12 @@
 //      (service/topk_index.h) re-ranked incrementally from the same
 //      touched-row set, so a TopKFor cache MISS with k within the per-node
 //      capacity is O(k) index reads, not an O(n) row scan — the last
-//      O(n)-per-query hot path, made affected-area-proportional. Results
-//      are bitwise identical to the row scan; k past an incomplete entry
-//      falls back to the scan (counted in stats().topk_index_fallbacks).
+//      O(n)-per-query hot path, made affected-area-proportional. A
+//      complete entry is patched by the columns whose scores changed
+//      rather than re-sorted, so the re-rank follows the delta too.
+//      Results are bitwise identical to the row scan; k past an
+//      incomplete entry falls back to the scan (counted in
+//      stats().topk_index_fallbacks).
 //
 // Consistency model: Score/TopKFor/TopKPairs reflect SOME published epoch
 // at least as new as the last Flush() that returned. Flush() is the
@@ -109,8 +112,11 @@ struct ServiceOptions {
   /// `topk_index_capacity` candidates, re-ranked at publish time for the
   /// rows the batch touched, so TopKFor cache misses with k within the
   /// capacity are O(k) index reads instead of O(n) row scans
-  /// (service/topk_index.h). Requests past an incomplete entry fall back
-  /// to the row scan, bitwise identically. 0 disables the index.
+  /// (service/topk_index.h). At capacity >= n-1 every entry is complete
+  /// and a touched row's entry is patched by its changed columns,
+  /// O(n + |Δ| log |Δ|); a bounded entry is rescanned, O(n log c) on a
+  /// dense row. Requests past an incomplete entry fall back to the row
+  /// scan, bitwise identically. 0 disables the index.
   std::size_t topk_index_capacity = 4096;
   /// Scheduler affinity group the applier thread binds
   /// (Scheduler::BindCurrentThreadToGroup): the applier's parallel
@@ -153,6 +159,8 @@ Status ValidateOptions(const ServiceOptions& options);
     "TopKFor misses that fell back to the row scan")                       \
   X(topk_index_rows_reranked, std::uint64_t, kSum, "rows",                  \
     "per-node index entries re-ranked at publish time")                    \
+  X(topk_index_rows_patched, std::uint64_t, kSum, "rows",                   \
+    "re-ranked entries patched by their changed columns, not rescanned")   \
   X(topk_pairs_served, std::uint64_t, kSum, "queries",                      \
     "TopKPairs misses answered by the k-way merge over the index")         \
   X(topk_pairs_fallbacks, std::uint64_t, kSum, "queries",                   \

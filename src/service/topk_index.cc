@@ -1,6 +1,7 @@
 #include "service/topk_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <queue>
 
@@ -36,7 +37,7 @@ bool TopKIndex::View::Serve(graph::NodeId query, std::size_t k,
   const Entry& entry = entries_[q];
   // Underfull: the entry holds fewer than k candidates AND fewer than the
   // n-1 that exist, so the row may hold better candidates than stored.
-  if (k > entry.items.size() && entry.items.size() + 1 < entries_.size()) {
+  if (k > entry.items.size() && !entry.Complete(entries_.size())) {
     return false;
   }
   const std::size_t count = std::min(k, entry.items.size());
@@ -58,8 +59,8 @@ bool TopKIndex::View::ServePairs(std::size_t k,
   bool any_incomplete = false;
   for (std::size_t q = 0; q < n; ++q) {
     const Entry& entry = entries_[q];
-    if (entry.items.size() + 1 >= n) continue;  // complete row
-    if (entry.items.empty()) return false;      // nothing to bound with
+    if (entry.Complete(n)) continue;
+    if (entry.items.empty()) return false;  // nothing to bound with
     any_incomplete = true;
     bound = std::max(bound, entry.items.back().score);
   }
@@ -131,6 +132,37 @@ std::shared_ptr<const TopKIndex::Entry> TopKIndex::BuildEntry(
   return entry;
 }
 
+std::shared_ptr<const TopKIndex::Entry> TopKIndex::PatchEntry(
+    const la::ScoreStore& scores, std::size_t row, const Entry& old) {
+  // The entry holds the previous score of every column, so it is its own
+  // diff. Bits, not ==, so a -0.0 -> +0.0 flip re-scores the item too.
+  const double* values = scores.ReadRow(row, &row_scratch_);
+  kept_.clear();
+  changed_.clear();
+  for (const core::ScoredPair& item : old.items) {
+    const double score = values[item.b];
+    if (std::bit_cast<std::uint64_t>(score) ==
+        std::bit_cast<std::uint64_t>(item.score)) {
+      kept_.push_back(item);
+    } else {
+      changed_.push_back({item.a, item.b, score});
+    }
+  }
+  const auto cmp = [](const core::ScoredPair& x, const core::ScoredPair& y) {
+    return core::ScoredPairRanksBefore(x, y);
+  };
+  std::sort(changed_.begin(), changed_.end(), cmp);
+  auto entry = std::make_shared<Entry>();
+  entry->items.resize(old.items.size());
+  // A strict total order has one sorted sequence, so this is bitwise
+  // TopKForOf(scores, row, capacity).
+  std::merge(changed_.begin(), changed_.end(), kept_.begin(), kept_.end(),
+             entry->items.begin(), cmp);
+  ++rows_patched_;
+  ++rows_reranked_;
+  return entry;
+}
+
 void TopKIndex::RebuildRows(const la::ScoreStore& scores,
                             std::span<const std::int32_t> rows) {
   if (capacity_ == 0) return;
@@ -139,8 +171,11 @@ void TopKIndex::RebuildRows(const la::ScoreStore& scores,
               "TopKIndex geometry mismatch: %zu entries for %zu rows",
               entries_.size(), scores.rows());
   for (std::int32_t row : rows) {
-    entries_.Set(static_cast<std::size_t>(row),
-                 BuildEntry(scores, static_cast<std::size_t>(row)));
+    const auto r = static_cast<std::size_t>(row);
+    const Entry* old = entries_.slot(r).get();
+    entries_.Set(r, old != nullptr && old->Complete(scores.rows())
+                        ? PatchEntry(scores, r, *old)
+                        : BuildEntry(scores, r));
   }
 }
 

@@ -14,10 +14,14 @@
 //   - Maintenance is incremental by the affected-area argument: a batch
 //     can only change row q if the applier wrote it, so at publish time
 //     ONLY the touched rows (la::ScoreStore's COW-clone record) are
-//     re-ranked, each by one core::TopKForOf: O(nnz log c + c log c) over
-//     a sparse row's stored entries, O(n log c) over a dense row.
-//     Untouched entries stay valid because their rows' bytes did not
-//     change.
+//     re-ranked. Untouched entries stay valid because their rows' bytes
+//     did not change. A complete entry (|entry| = n-1) already holds the
+//     old score of every column, so it is patched by its changed columns:
+//     the unchanged items keep their order and the re-scored ones are
+//     sorted and merged in, O(n + |Δ| log |Δ|) against the scan's
+//     O(n log c). An incomplete entry cannot see columns outside itself,
+//     so it is re-ranked by one core::TopKForOf: O(nnz log c + c log c)
+//     over a sparse row's stored entries, O(n log c) over a dense row.
 //   - A miss with k <= |entry| (or a complete entry, |entry| = n-1) is
 //     served as the entry's first min(k, |entry|) items — bitwise
 //     identical to TopKForOf on the same snapshot, because both are
@@ -43,6 +47,7 @@
 #include "core/dynamic_simrank.h"
 #include "graph/digraph.h"
 #include "la/score_store.h"
+#include "la/vector.h"
 
 namespace incsr::service {
 
@@ -53,6 +58,10 @@ class TopKIndex {
   /// (descending score, ascending id) contract, |items| = min(c, n-1).
   struct Entry {
     std::vector<core::ScoredPair> items;
+
+    /// True when the entry holds every column of its n-node row but the
+    /// diagonal (|items| = n-1), so no column outside it can rank in.
+    bool Complete(std::size_t n) const { return items.size() + 1 >= n; }
   };
 
   /// Immutable snapshot of the entry table; copying shares the pages.
@@ -111,13 +120,22 @@ class TopKIndex {
   /// stored values. Writer thread only.
   std::span<const core::ScoredPair> EntryItems(std::size_t row) const;
 
-  /// Cumulative entries re-ranked by Rebuild* (the maintenance cost).
+  /// Cumulative entries re-ranked by Rebuild* (the maintenance cost),
+  /// patched or rescanned.
   std::uint64_t rows_reranked() const { return rows_reranked_; }
+  /// The part of rows_reranked() that RebuildRows patched by changed
+  /// columns instead of rescanning.
+  std::uint64_t rows_patched() const { return rows_patched_; }
 
-  /// Re-ranks the entries of `rows` from the current score rows, one
-  /// contract-ordered core::TopKForOf each (O(nnz log c + c log c) on a
-  /// sparse row, O(n log c) on a dense one). Rows must be in range;
-  /// duplicates are harmless. Writer thread only.
+  /// Re-ranks the entries of `rows` from the current score rows. A
+  /// complete entry is patched: the columns whose score bits changed since
+  /// the entry was ranked are re-sorted and merged into the unchanged
+  /// items, O(n + |Δ| log |Δ|). Any other entry (bounded capacity, not
+  /// built yet) gets one core::TopKForOf (O(nnz log c + c log c) on a
+  /// sparse row, O(n log c) on a dense one). Either way the entry is
+  /// bitwise TopKForOf(scores, row, capacity()), provided every row whose
+  /// bytes changed since its entry was ranked is in `rows`. Rows must be
+  /// in range; duplicates are harmless. Writer thread only.
   void RebuildRows(const la::ScoreStore& scores,
                    std::span<const std::int32_t> rows);
 
@@ -133,10 +151,17 @@ class TopKIndex {
  private:
   std::shared_ptr<const Entry> BuildEntry(const la::ScoreStore& scores,
                                           std::size_t row);
+  std::shared_ptr<const Entry> PatchEntry(const la::ScoreStore& scores,
+                                          std::size_t row, const Entry& old);
 
   const std::size_t capacity_;
   std::uint64_t rows_reranked_ = 0;
+  std::uint64_t rows_patched_ = 0;
   CowTable<Entry> entries_;
+  // PatchEntry scratch, reused across rows.
+  la::Vector row_scratch_;
+  std::vector<core::ScoredPair> kept_;
+  std::vector<core::ScoredPair> changed_;
 };
 
 }  // namespace incsr::service

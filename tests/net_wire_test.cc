@@ -197,6 +197,7 @@ TEST(WireRoundTrip, StatsResponse) {
   in.stats.topk_index_served = 55;
   in.stats.topk_index_fallbacks = 5;
   in.stats.topk_index_rows_reranked = 600;
+  in.stats.topk_index_rows_patched = 580;
   in.stats.cache.hits = 10;
   in.stats.cache.misses = 20;
   in.stats.cache.invalidations = 30;
@@ -242,6 +243,7 @@ TEST(WireRoundTrip, StatsResponse) {
   EXPECT_EQ(out.stats.topk_index_served, 55u);
   EXPECT_EQ(out.stats.topk_index_fallbacks, 5u);
   EXPECT_EQ(out.stats.topk_index_rows_reranked, 600u);
+  EXPECT_EQ(out.stats.topk_index_rows_patched, 580u);
   EXPECT_EQ(out.stats.cache.hits, 10u);
   EXPECT_EQ(out.stats.cache.misses, 20u);
   EXPECT_EQ(out.stats.cache.invalidations, 30u);

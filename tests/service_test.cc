@@ -6,10 +6,14 @@
 // whole suite is TSan-clean; CI runs it under -fsanitize=thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -633,7 +637,9 @@ TEST(TopKIndexService, DeepPairQueriesFallBackPastBoundedEntries) {
 TEST(TopKIndexService, RerankCostIsTouchedRowsNotN) {
   // Two disjoint 8-node components (as in PublishCostIsTouchedRowsNotN):
   // an update inside component A must re-rank at most |A| index entries —
-  // and in fact exactly the rows the batch copy-on-wrote.
+  // and in fact exactly the rows the batch copy-on-wrote. With the default
+  // capacity every entry is complete (n = 16), so each re-rank is a patch;
+  // at capacity 4 every re-rank is a rescan.
   const std::size_t half = 8;
   auto stream_a = graph::ErdosRenyiGnm(half, 20, 5);
   auto stream_b = graph::ErdosRenyiGnm(half, 20, 6);
@@ -649,17 +655,28 @@ TEST(TopKIndexService, RerankCostIsTouchedRowsNotN) {
                      e.edge.dst + static_cast<graph::NodeId>(half))
             .ok());
   }
-  auto service = MakeService(graph);
-  EXPECT_EQ(service->stats().topk_index_rows_reranked, 2 * half);  // build
+  for (std::size_t capacity : {ServiceOptions{}.topk_index_capacity,
+                               std::size_t{4}}) {
+    SCOPED_TRACE(capacity);
+    ServiceOptions options;
+    options.topk_index_capacity = capacity;
+    auto service = MakeService(graph, options);
+    EXPECT_EQ(service->stats().topk_index_rows_reranked, 2 * half);  // build
+    EXPECT_EQ(service->stats().topk_index_rows_patched, 0u);  // by scan
 
-  EdgeUpdate update{UpdateKind::kInsert, 0, 5};
-  if (graph.HasEdge(0, 5)) update = {UpdateKind::kDelete, 0, 5};
-  ASSERT_TRUE(service->Submit(update).ok());
-  ASSERT_TRUE(service->Flush().ok());
+    EdgeUpdate update{UpdateKind::kInsert, 0, 5};
+    if (graph.HasEdge(0, 5)) update = {UpdateKind::kDelete, 0, 5};
+    ASSERT_TRUE(service->Submit(update).ok());
+    ASSERT_TRUE(service->Flush().ok());
 
-  ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.topk_index_rows_reranked, 2 * half + stats.rows_published);
-  EXPECT_LE(stats.topk_index_rows_reranked, 3 * half);  // stayed inside A
+    ServiceStats stats = service->stats();
+    EXPECT_EQ(stats.topk_index_rows_reranked,
+              2 * half + stats.rows_published);
+    EXPECT_LE(stats.topk_index_rows_reranked, 3 * half);  // stayed inside A
+    const bool complete = capacity + 1 >= 2 * half;
+    EXPECT_EQ(stats.topk_index_rows_patched,
+              complete ? stats.rows_published : 0u);
+  }
 }
 
 // ---- TopKFor/TopKPairs edge cases (k = 0, k >= n, single node,
@@ -814,6 +831,130 @@ TEST(TopKIndexUnit, RebuildRowsPatchesOnlyNamedRows) {
   // Row 0's entry was NOT rebuilt: it still serves the old ranking.
   ASSERT_TRUE(view.Serve(0, 2, &out));
   EXPECT_EQ(out[0].score, 0.3);
+}
+
+bool SameBits(std::span<const ScoredPair> x,
+              const std::vector<ScoredPair>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    if (x[t].a != y[t].a || x[t].b != y[t].b ||
+        std::bit_cast<std::uint64_t>(x[t].score) !=
+            std::bit_cast<std::uint64_t>(y[t].score)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A score drawn to make ties and signed zeros common.
+double TieProneScore(Rng* rng) {
+  switch (rng->NextBounded(6)) {
+    case 0: return 0.25;
+    case 1: return 0.0;
+    case 2: return -0.0;
+    case 3: return -rng->NextDouble();
+    default: return rng->NextDouble();
+  }
+}
+
+// Rewrites row i with exactly `values`: the write spills to dense, and a
+// sparse-tier row is demoted back at ε = 0, which keeps every bit.
+void OverwriteRow(la::ScoreStore* store, std::size_t i,
+                  const std::vector<double>& values, bool sparse) {
+  la::RowWriter writer;
+  store->BeginWriteRow(i, &writer);
+  std::copy(values.begin(), values.end(), writer.Dense());
+  store->CommitWriteRow(&writer);
+  if (sparse) {
+    EXPECT_TRUE(store->SparsifyRow(i, {}));
+  }
+}
+
+TEST(TopKIndexUnit, PatchedCompleteEntriesMatchTheRowScan) {
+  // Complete entries are patched by their changed columns; bounded ones
+  // are rescanned. Both must stay bitwise the row scan, under deltas that
+  // change nothing, one column, every column, make new ties, flip zero
+  // signs, or touch only the diagonal.
+  Rng rng(424242);
+  for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{64},
+                        std::size_t{300}}) {
+    for (bool sparse : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " sparse " << sparse);
+      std::vector<std::vector<double>> rows(n, std::vector<double>(n));
+      for (auto& row : rows) {
+        for (double& v : row) v = TieProneScore(&rng);
+      }
+      la::ScoreStore store = StoreFromRows(rows);
+      store.set_sparsity({.epsilon = 0.0, .max_density = 1.0});
+      if (sparse) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(store.SparsifyRow(i, {}));
+        }
+      }
+      TopKIndex complete(n - 1);
+      TopKIndex bounded(n > 2 ? n - 2 : 0);  // n = 2 has no bounded depth
+      complete.RebuildAll(store);
+      bounded.RebuildAll(store);
+      EXPECT_EQ(complete.rows_patched(), 0u);  // a build is a scan
+      store.Publish();
+
+      std::uint64_t touched_total = 0;
+      for (int round = 0; round < 12; ++round) {
+        std::vector<std::int32_t> touched;
+        const std::size_t count =
+            1 + rng.NextBounded(std::min<std::size_t>(n, 8));
+        for (std::size_t t = 0; t < count; ++t) {
+          const std::size_t i = rng.NextBounded(n);
+          std::vector<double>& row = rows[i];
+          switch ((round + t) % 6) {
+            case 0:  // bytes unchanged
+              break;
+            case 1:
+              row[rng.NextBounded(n)] = TieProneScore(&rng);
+              break;
+            case 2:
+              for (double& v : row) v = TieProneScore(&rng);
+              break;
+            case 3: {  // a new tie: one column copies another's score
+              const std::size_t from = rng.NextBounded(n);
+              for (int c = 0; c < 3; ++c) row[rng.NextBounded(n)] = row[from];
+              break;
+            }
+            case 4:  // every zero flips its sign
+              for (double& v : row) {
+                if (v == 0.0) v = std::signbit(v) ? 0.0 : -0.0;
+              }
+              break;
+            default:
+              row[i] = TieProneScore(&rng);
+              break;
+          }
+          OverwriteRow(&store, i, row, sparse);
+          touched.push_back(static_cast<std::int32_t>(i));
+        }
+        touched.push_back(touched.front());  // duplicates are harmless
+        touched_total += touched.size();
+        complete.RebuildRows(store, touched);
+        bounded.RebuildRows(store, touched);
+        store.Publish();
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto q = static_cast<graph::NodeId>(i);
+          ASSERT_TRUE(SameBits(complete.EntryItems(i),
+                               core::TopKForOf(store, q, n - 1)))
+              << "complete row " << i << " round " << round;
+          ASSERT_TRUE(SameBits(bounded.EntryItems(i),
+                               core::TopKForOf(store, q, bounded.capacity())))
+              << "bounded row " << i << " round " << round;
+        }
+      }
+      EXPECT_EQ(complete.rows_patched(), touched_total);
+      EXPECT_EQ(complete.rows_reranked(), n + touched_total);
+      EXPECT_EQ(bounded.rows_patched(), 0u);
+      if (bounded.enabled()) {
+        EXPECT_EQ(bounded.rows_reranked(), n + touched_total);
+      }
+    }
+  }
 }
 
 TEST(TopKIndexUnit, ServePairsCompleteEntriesMatchPairScanExactly) {

@@ -15,7 +15,7 @@
 //     dense Create on an edgeless graph, before and after inserts.
 //   - Stored-entry read: ForEachStored visits exactly the entries that are
 //     not +0.0, and TopKForOf (store, View, and a TopKIndex kept up under
-//     churn) is bitwise the dense scan of ToDense().
+//     churn) and TopKPairsOf are bitwise the dense scans of ToDense().
 //   - Graph COW: snapshots and copies stay byte-stable across mutation.
 #include <gtest/gtest.h>
 
@@ -550,6 +550,41 @@ TEST(StoredEntryRead, TopKForOfMatchesTheDenseScanBitwise) {
       EXPECT_TRUE(SameBits(core::TopKForOf(view, query, k), reference))
           << "view row " << i << " k " << k;
     }
+  }
+}
+
+TEST(StoredEntryRead, TopKPairsOfMatchesTheDenseScanBitwise) {
+  // Mixed rows (empty ones among them, so +0.0 pairs fill deep results),
+  // two thirds sparse, read against the densified copy at ε = 0.
+  const std::size_t n = 40;
+  Rng rng(2025);
+  la::DenseMatrix dense(n, n);
+  for (std::size_t i = 0; i < n; ++i) FillMixedRow(&rng, n, dense.RowPtr(i));
+  dense(2, 3) = -0.0;  // a stored −0.0 ties the +0.0 pairs on score
+  dense(5, 9) = -0.5;  // a negative pair ranks after every zero
+  la::ScoreStore store(dense);
+  la::SparsityConfig sparsity;
+  sparsity.max_density = 1.0;
+  store.set_sparsity(sparsity);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 != 2) {
+      ASSERT_TRUE(store.SparsifyRow(i, {}));  // ε = 0: lossless
+    }
+  }
+  const la::ScoreStore::View view = store.Publish();
+  const la::DenseMatrix reference_matrix = store.ToDense();
+  ASSERT_TRUE(la::BitwiseEqual(reference_matrix, dense));
+
+  const std::size_t pairs = n * (n - 1) / 2;
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                        std::size_t{37}, std::size_t{200}, pairs - 1, pairs,
+                        pairs + 9}) {
+    const auto reference = core::TopKPairsOf(reference_matrix, k);
+    EXPECT_EQ(reference.size(), std::min(k, pairs));
+    EXPECT_TRUE(SameBits(core::TopKPairsOf(store, k), reference))
+        << "store k " << k;
+    EXPECT_TRUE(SameBits(core::TopKPairsOf(view, k), reference))
+        << "view k " << k;
   }
 }
 
