@@ -14,7 +14,8 @@
 //     SVD under the paper's 8 GB envelope scaled by the dataset scale² —
 //     reproducing the "memory crash" the paper reports there;
 //   - Batch recomputes from scratch on snapshot k (K = 15; K = 5 on
-//     YOUTU, the paper's settings, C = 0.6).
+//     YOUTU, the paper's settings, C = 0.6), row-parallel on the same
+//     num_threads as the incremental kernels.
 //
 // Usage: fig2a_time_real [scale_multiplier] [update_cap]
 //        fig2a_time_real --edges FILE [--temporal] [--snapshots N]

@@ -2,7 +2,8 @@
 // INSERTION sweep and an edge DELETION sweep. The paper fixes
 // |V| = 79,483 and sweeps |E| 485K → 560K in 15K steps (and back down for
 // deletions); this harness applies both sweeps at a configurable scale
-// with the linkage-model generator.
+// with the linkage-model generator. Batch and the incremental kernels run
+// on the same num_threads.
 //
 // Usage: fig2c_time_synth [scale] [update_cap]        (default 0.025, 150)
 #include <cstdio>

@@ -220,9 +220,11 @@ std::vector<ScoredPair> TopKForOf(const SLike& s, graph::NodeId query,
 class DynamicSimRank {
  public:
   /// Builds the index: computes the initial S with the matrix-form batch
-  /// algorithm run to `batch_iterations` (default: enough iterations for
-  /// the fixed point to be exact to ~1e-12, as the incremental theorems
-  /// assume), then stands ready for updates.
+  /// algorithm (simrank::BatchMatrix: row-parallel on options.num_threads
+  /// threads, bitwise the same S at any count) run to `batch_iterations`
+  /// (default: enough iterations for the fixed point to be exact to
+  /// ~1e-12, as the incremental theorems assume), then stands ready for
+  /// updates.
   static Result<DynamicSimRank> Create(
       graph::DynamicDiGraph graph, const simrank::SimRankOptions& options = {},
       UpdateAlgorithm algorithm = UpdateAlgorithm::kIncSR,

@@ -142,19 +142,27 @@ Vector DenseMatrix::MultiplyTranspose(const Vector& x) const {
 
 DenseMatrix DenseMatrix::Transpose() const {
   DenseMatrix out(cols_, rows_);
+  TransposeRows(&out, 0, cols_);
+  return out;
+}
+
+void DenseMatrix::TransposeRows(DenseMatrix* out, std::size_t begin,
+                                std::size_t end) const {
+  INCSR_CHECK(out->rows_ == cols_ && out->cols_ == rows_ && begin <= end &&
+                  end <= cols_,
+              "TransposeRows shape mismatch");
+  // 32×32 tiles: each source cache line is reused across a tile's rows.
   constexpr std::size_t kBlock = 32;
-  for (std::size_t ib = 0; ib < rows_; ib += kBlock) {
-    std::size_t imax = std::min(rows_, ib + kBlock);
-    for (std::size_t jb = 0; jb < cols_; jb += kBlock) {
-      std::size_t jmax = std::min(cols_, jb + kBlock);
+  for (std::size_t ib = begin; ib < end; ib += kBlock) {
+    const std::size_t imax = std::min(end, ib + kBlock);
+    for (std::size_t jb = 0; jb < rows_; jb += kBlock) {
+      const std::size_t jmax = std::min(rows_, jb + kBlock);
       for (std::size_t i = ib; i < imax; ++i) {
-        for (std::size_t j = jb; j < jmax; ++j) {
-          out(j, i) = (*this)(i, j);
-        }
+        double* __restrict orow = out->RowPtr(i);
+        for (std::size_t j = jb; j < jmax; ++j) orow[j] = (*this)(j, i);
       }
     }
   }
-  return out;
 }
 
 double DenseMatrix::MaxAbs() const {

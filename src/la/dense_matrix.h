@@ -95,6 +95,11 @@ class DenseMatrix {
 
   /// Returns Aᵀ.
   DenseMatrix Transpose() const;
+  /// Rows [begin, end) of Aᵀ written over the same rows of *out (shape
+  /// cols() × rows()). Transpose runs it over every row; disjoint row
+  /// ranges may run concurrently.
+  void TransposeRows(DenseMatrix* out, std::size_t begin,
+                     std::size_t end) const;
 
   /// Largest absolute entry.
   double MaxAbs() const;

@@ -76,18 +76,26 @@ Vector CsrMatrix::MultiplyTranspose(const Vector& x) const {
 }
 
 DenseMatrix CsrMatrix::MultiplyDense(const DenseMatrix& b) const {
-  INCSR_CHECK(b.rows() == cols_, "MultiplyDense shape mismatch");
   DenseMatrix c(rows_, b.cols());
+  MultiplyDenseRows(b, &c, 0, rows_);
+  return c;
+}
+
+void CsrMatrix::MultiplyDenseRows(const DenseMatrix& b, DenseMatrix* out,
+                                  std::size_t begin, std::size_t end) const {
+  INCSR_CHECK(b.rows() == cols_ && out->rows() == rows_ &&
+                  out->cols() == b.cols() && begin <= end && end <= rows_,
+              "MultiplyDense shape mismatch");
   const std::size_t width = b.cols();
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double* __restrict crow = c.RowPtr(i);
+  for (std::size_t i = begin; i < end; ++i) {
+    double* __restrict crow = out->RowPtr(i);
+    std::fill(crow, crow + width, 0.0);
     for (const SparseEntry& e : RowEntries(i)) {
       const double* __restrict brow = b.RowPtr(static_cast<std::size_t>(e.col));
       const double w = e.value;
       for (std::size_t j = 0; j < width; ++j) crow[j] += w * brow[j];
     }
   }
-  return c;
 }
 
 DenseMatrix CsrMatrix::MultiplyTransposeDense(const DenseMatrix& b) const {

@@ -59,6 +59,12 @@ class CsrMatrix {
 
   /// C = A·B with B dense: row-axpy kernel, O(nnz · B.cols()).
   DenseMatrix MultiplyDense(const DenseMatrix& b) const;
+  /// Rows [begin, end) of A·B written over the same rows of *out (shape
+  /// rows() × B.cols()): each row is zeroed, then accumulated in CSR order.
+  /// MultiplyDense runs it over every row; disjoint row ranges may run
+  /// concurrently and give the same bits.
+  void MultiplyDenseRows(const DenseMatrix& b, DenseMatrix* out,
+                         std::size_t begin, std::size_t end) const;
 
   /// C = Aᵀ·B with B dense: scatter kernel, O(nnz · B.cols()).
   DenseMatrix MultiplyTransposeDense(const DenseMatrix& b) const;

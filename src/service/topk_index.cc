@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "common/check.h"
+#include "common/scheduler.h"
 #include "obs/trace.h"
 
 namespace incsr::service {
@@ -121,14 +122,13 @@ std::span<const core::ScoredPair> TopKIndex::EntryItems(std::size_t row) const {
 }
 
 std::shared_ptr<const TopKIndex::Entry> TopKIndex::BuildEntry(
-    const la::ScoreStore& scores, std::size_t row) {
+    const la::ScoreStore& scores, std::size_t row) const {
   auto entry = std::make_shared<Entry>();
   // The single source of ranking truth: the same scan a miss would run,
   // truncated at capacity instead of k — which is what makes index-served
   // results bitwise identical to the fallback.
   entry->items = core::TopKForOf(scores, static_cast<graph::NodeId>(row),
                                  capacity_);
-  ++rows_reranked_;
   return entry;
 }
 
@@ -159,7 +159,6 @@ std::shared_ptr<const TopKIndex::Entry> TopKIndex::PatchEntry(
   std::merge(changed_.begin(), changed_.end(), kept_.begin(), kept_.end(),
              entry->items.begin(), cmp);
   ++rows_patched_;
-  ++rows_reranked_;
   return entry;
 }
 
@@ -176,16 +175,29 @@ void TopKIndex::RebuildRows(const la::ScoreStore& scores,
     entries_.Set(r, old != nullptr && old->Complete(scores.rows())
                         ? PatchEntry(scores, r, *old)
                         : BuildEntry(scores, r));
+    ++rows_reranked_;
   }
 }
 
 void TopKIndex::RebuildAll(const la::ScoreStore& scores) {
   if (capacity_ == 0) return;
   TRACE_SCOPE_ARG(kRerank, scores.rows());
-  entries_.Resize(scores.rows(), nullptr);
-  for (std::size_t row = 0; row < entries_.size(); ++row) {
-    entries_.Set(row, BuildEntry(scores, row));
+  const std::size_t n = scores.rows();
+  // Each entry reads only its own row, so the rows rank in parallel; the
+  // table itself is the writer's, so the entries are installed serially.
+  std::vector<std::shared_ptr<const Entry>> built(n);
+  Scheduler::Global().ParallelFor(
+      0, n, /*grain=*/64, Scheduler::ResolveNumThreads(0),
+      [this, &scores, &built](std::size_t lo, std::size_t hi) {
+        for (std::size_t row = lo; row < hi; ++row) {
+          built[row] = BuildEntry(scores, row);
+        }
+      });
+  entries_.Resize(n, nullptr);
+  for (std::size_t row = 0; row < n; ++row) {
+    entries_.Set(row, std::move(built[row]));
   }
+  rows_reranked_ += n;
 }
 
 TopKIndex::View TopKIndex::Publish() {

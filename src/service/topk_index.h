@@ -140,7 +140,9 @@ class TopKIndex {
                    std::span<const std::int32_t> rows);
 
   /// (Re)builds every entry — initial build and the all-rows-touched path
-  /// (fresh store, geometry change). Adapts to scores.rows(). Writer
+  /// (fresh store, geometry change). Adapts to scores.rows(). The rows are
+  /// ranked in parallel on the shared scheduler (INCSR_THREADS, then the
+  /// hardware count); each entry is the same TopKForOf either way. Writer
   /// thread only.
   void RebuildAll(const la::ScoreStore& scores);
 
@@ -150,7 +152,7 @@ class TopKIndex {
 
  private:
   std::shared_ptr<const Entry> BuildEntry(const la::ScoreStore& scores,
-                                          std::size_t row);
+                                          std::size_t row) const;
   std::shared_ptr<const Entry> PatchEntry(const la::ScoreStore& scores,
                                           std::size_t row, const Entry& old);
 

@@ -11,7 +11,6 @@
 #include "eval/metrics.h"
 #include "incsvd/inc_svd.h"
 #include "incsr/incsr.h"
-#include "simrank/batch_matrix_parallel.h"
 
 namespace incsr {
 namespace {
@@ -68,22 +67,6 @@ TEST(Integration, AllBatchAlgorithmsAgreeOnIterativeForm) {
   EXPECT_LT(la::MaxAbsDiff(simrank::BatchNaive(g, options),
                            simrank::BatchPartialSums(g, options)),
             1e-11);
-}
-
-TEST(Integration, ParallelBatchMatchesSerial) {
-  auto series = datasets::MakeDataset(
-      datasets::DatasetKind::kCitH, {.scale = 0.01, .num_snapshots = 1});
-  ASSERT_TRUE(series.ok());
-  auto g = series->GraphAt(0);
-  SimRankOptions options;
-  options.iterations = 12;
-  la::DenseMatrix serial = simrank::BatchMatrix(g, options);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    la::DenseMatrix parallel =
-        simrank::BatchMatrixParallel(g, options, threads);
-    EXPECT_LT(la::MaxAbsDiff(serial, parallel), 1e-12)
-        << "threads = " << threads;
-  }
 }
 
 TEST(Integration, IncSvdTracksButDoesNotMatchTruthOnRealisticGraphs) {

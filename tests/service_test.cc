@@ -564,7 +564,9 @@ TEST(TopKIndexService, IndexVsOracleAcrossChurnCacheAndThreads) {
       // Every TopKFor miss was answered by exactly one of the two paths.
       EXPECT_EQ(stats.cache.misses,
                 stats.topk_index_served + stats.topk_index_fallbacks);
-      if (cache_capacity > 0) EXPECT_GT(stats.cache.hits, 0u);
+      if (cache_capacity > 0) {
+        EXPECT_GT(stats.cache.hits, 0u);
+      }
       // Initial build re-ranked all n rows; every epoch after re-ranked
       // exactly the rows the batch COW'd — nothing more.
       EXPECT_EQ(stats.topk_index_rows_reranked, n + stats.rows_published);
@@ -953,6 +955,37 @@ TEST(TopKIndexUnit, PatchedCompleteEntriesMatchTheRowScan) {
       if (bounded.enabled()) {
         EXPECT_EQ(bounded.rows_reranked(), n + touched_total);
       }
+    }
+  }
+}
+
+TEST(TopKIndexUnit, ParallelRebuildAllMatchesTheRowScan) {
+  // RebuildAll ranks rows on the shared scheduler (INCSR_THREADS; CI runs
+  // this suite at 1 and 4): every entry must still be bitwise the row
+  // scan, over dense rows and sparse-tier rows alike.
+  graph::CitationModelParams params;
+  params.num_nodes = 300;
+  params.seed = 11;
+  auto stream = graph::PreferentialCitation(params);
+  ASSERT_TRUE(stream.ok());
+  auto index = DynamicSimRank::Create(
+      graph::MaterializeGraph(params.num_nodes, stream.value()), Converged());
+  ASSERT_TRUE(index.ok());
+  la::ScoreStore store(index->scores().ToDense());
+  store.set_sparsity({.epsilon = 0.0, .max_density = 1.0});
+  for (std::size_t i = 0; i < store.rows(); i += 3) {
+    ASSERT_TRUE(store.SparsifyRow(i, {}));
+  }
+  const std::size_t n = store.rows();
+  for (std::size_t capacity : {n - 1, std::size_t{16}}) {
+    TopKIndex topk(capacity);
+    topk.RebuildAll(store);
+    EXPECT_EQ(topk.rows_reranked(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(SameBits(topk.EntryItems(i),
+                           core::TopKForOf(store, static_cast<graph::NodeId>(i),
+                                           capacity)))
+          << "capacity " << capacity << " row " << i;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -160,6 +161,47 @@ TEST(BatchMatrix, FromTransitionAgreesWithFromGraph) {
   EXPECT_EQ(la::MaxAbsDiff(BatchMatrix(g, options),
                            BatchMatrixFromTransition(q, options)),
             0.0);
+}
+
+// The solve as a serial loop of whole-matrix operations: the per-element
+// sequence BatchMatrix must reproduce bit for bit at any thread count.
+la::DenseMatrix ReferenceBatchMatrix(const DynamicDiGraph& g,
+                                     const SimRankOptions& options) {
+  const la::CsrMatrix q = graph::BuildTransitionCsr(g);
+  const double c = options.damping;
+  la::DenseMatrix s(q.rows(), q.rows());
+  s.AddScaledIdentity(1.0 - c);
+  for (int k = 0; k < options.iterations; ++k) {
+    la::DenseMatrix r = q.MultiplyDense(q.MultiplyDense(s).Transpose());
+    r.Scale(c);
+    r.AddScaledIdentity(1.0 - c);
+    s = std::move(r);
+  }
+  return s;
+}
+
+DynamicDiGraph CitationGraph(std::size_t num_nodes) {
+  graph::CitationModelParams params;
+  params.num_nodes = num_nodes;
+  params.seed = 7;
+  auto stream = graph::PreferentialCitation(params);
+  INCSR_CHECK(stream.ok(), "citation stream");
+  return graph::MaterializeGraph(num_nodes, stream.value());
+}
+
+TEST(BatchMatrix, BitwiseEqualToSerialReferenceAtEveryThreadCount) {
+  const std::pair<const char*, DynamicDiGraph> graphs[] = {
+      {"paper-style", PaperStyleGraph()}, {"citation-300", CitationGraph(300)}};
+  for (const auto& [name, g] : graphs) {
+    SimRankOptions options;
+    options.iterations = 20;
+    const la::DenseMatrix expected = ReferenceBatchMatrix(g, options);
+    for (int threads : {1, 2, 4, 0}) {  // 0: INCSR_THREADS, then hardware
+      options.num_threads = threads;
+      EXPECT_TRUE(la::BitwiseEqual(BatchMatrix(g, options), expected))
+          << name << ", num_threads = " << threads;
+    }
+  }
 }
 
 TEST(ConvergenceBound, MatchesClosedForm) {

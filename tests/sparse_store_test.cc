@@ -520,7 +520,9 @@ TEST(StoredEntryRead, TopKForOfMatchesTheDenseScanBitwise) {
   sparsity.max_density = 1.0;
   store.set_sparsity(sparsity);
   for (std::size_t i = 0; i < n; ++i) {
-    if (i % 3 != 2) ASSERT_TRUE(store.SparsifyRow(i, {}));  // ε = 0: lossless
+    if (i % 3 != 2) {
+      ASSERT_TRUE(store.SparsifyRow(i, {}));  // ε = 0: lossless
+    }
   }
   const la::ScoreStore::View view = store.Publish();
   ASSERT_TRUE(la::BitwiseEqual(store.ToDense(), dense));
