@@ -104,16 +104,14 @@ inline Result<graph::SnapshotSeries> LoadEdgeListSeries(
 }
 
 /// Minimal JSON emitter for the BENCH_*.json trajectory files: an object
-/// of scalar fields (insertion order preserved), named arrays of child
-/// objects, and named arrays of scalars (per-shard trajectories). Covers
-/// exactly what the harnesses need — workload params and metrics —
-/// without a JSON dependency.
+/// of scalar fields (insertion order preserved) and named arrays of child
+/// objects. Covers exactly what the harnesses need — workload params and
+/// metrics — without a JSON dependency.
 ///
 ///   JsonObject root;
 ///   root.Set("bench", "serve_throughput").Set("nodes", config.nodes);
 ///   JsonObject* run = root.AddObject("runs");
 ///   run->Set("updates_per_sec", 123.4);
-///   run->Append("per_shard_applied", 100).Append("per_shard_applied", 97);
 ///   WriteJsonFile(path, root);
 class JsonObject {
  public:
@@ -150,31 +148,9 @@ class JsonObject {
         return entry.children.back().get();
       }
     }
-    entries_.push_back(Entry{key, "", true, {}, {}});
+    entries_.push_back(Entry{key, "", true, {}});
     entries_.back().children.push_back(std::make_unique<JsonObject>());
     return entries_.back().children.back().get();
-  }
-
-  /// Appends one scalar to the array `key` (created on first use; rendered
-  /// inline: "key": [v1, v2, ...]). A key holds either scalars or child
-  /// objects, never both.
-  JsonObject& Append(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    return AppendRaw(key, buf);
-  }
-  JsonObject& Append(const std::string& key, unsigned long value) {  // NOLINT
-    return AppendRaw(key, std::to_string(value));
-  }
-  JsonObject& Append(const std::string& key,
-                     unsigned long long value) {  // NOLINT
-    return AppendRaw(key, std::to_string(value));
-  }
-  JsonObject& Append(const std::string& key, int value) {
-    return AppendRaw(key, std::to_string(value));
-  }
-  JsonObject& Append(const std::string& key, const std::string& value) {
-    return AppendRaw(key, "\"" + Escape(value) + "\"");
   }
 
   std::string ToString(int indent = 0) const {
@@ -184,14 +160,7 @@ class JsonObject {
     for (std::size_t e = 0; e < entries_.size(); ++e) {
       const Entry& entry = entries_[e];
       out += inner + "\"" + Escape(entry.key) + "\": ";
-      if (entry.is_array && entry.children.empty()) {
-        out += "[";  // scalar array, rendered inline
-        for (std::size_t c = 0; c < entry.scalars.size(); ++c) {
-          if (c > 0) out += ", ";
-          out += entry.scalars[c];
-        }
-        out += "]";
-      } else if (entry.is_array) {
+      if (entry.is_array) {
         out += "[\n";
         for (std::size_t c = 0; c < entry.children.size(); ++c) {
           out += inner + "  " + entry.children[c]->ToString(indent + 2);
@@ -214,8 +183,7 @@ class JsonObject {
     std::string key;
     std::string value;  // pre-rendered scalar (unused for arrays)
     bool is_array = false;
-    std::vector<std::unique_ptr<JsonObject>> children;  // object arrays
-    std::vector<std::string> scalars;                   // scalar arrays
+    std::vector<std::unique_ptr<JsonObject>> children;
   };
 
   static std::string Escape(const std::string& raw) {
@@ -229,19 +197,7 @@ class JsonObject {
   }
 
   JsonObject& SetRaw(const std::string& key, std::string rendered) {
-    entries_.push_back(Entry{key, std::move(rendered), false, {}, {}});
-    return *this;
-  }
-
-  JsonObject& AppendRaw(const std::string& key, std::string rendered) {
-    for (Entry& entry : entries_) {
-      if (entry.is_array && entry.key == key && entry.children.empty()) {
-        entry.scalars.push_back(std::move(rendered));
-        return *this;
-      }
-    }
-    entries_.push_back(Entry{key, "", true, {}, {}});
-    entries_.back().scalars.push_back(std::move(rendered));
+    entries_.push_back(Entry{key, std::move(rendered), false, {}});
     return *this;
   }
 

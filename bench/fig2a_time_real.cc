@@ -207,10 +207,9 @@ int main(int argc, char** argv) {
              cap_override);
 
   std::puts(
-      "\nReading the shape against the paper's Fig. 2a: Inc-SR fastest, "
-      "Inc-uSR slower\n(no pruning), Inc-SVD pays the r^4*n^2 tensor "
-      "products (and crashes on YOUTU),\nBatch is flat w.r.t. |dE| (full "
-      "recomputation). Absolute values differ from the\npaper (scaled "
-      "stand-ins, different hardware); see EXPERIMENTS.md.");
+      "\nReading the shape against the paper's Fig. 2a: Inc-SVD pays the "
+      "r^4*n^2 tensor\nproducts (and crashes on YOUTU), Batch is flat "
+      "w.r.t. |dE| (full recomputation).\nAbsolute values differ from the "
+      "paper (scaled stand-ins, different hardware).");
   return 0;
 }

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   // Clustered linkage model: at reduced scale an unclustered graph's
   // radius-K out-ball covers most nodes, densifying S and turning the
-  // pruning into overhead — a pure scale artifact (see EXPERIMENTS.md).
+  // pruning into overhead — a pure scale artifact.
   // Communities of ~65 nodes (≥ ~30 of them, so similarity cannot
   // percolate through the arrival bridges) keep the similarity structure
   // of the paper's full-scale synthetic graphs.
@@ -160,6 +160,6 @@ int main(int argc, char** argv) {
       "radius-K ball reaches most nodes,\nso S densifies and pruning has "
       "little to remove — Inc-SR's advantage over\nInc-uSR (clear on the "
       "clustered real-data stand-ins of Fig. 2a/2d) shrinks or\ninverts "
-      "here. See the dense-reach note in EXPERIMENTS.md.");
+      "here.");
   return 0;
 }

@@ -21,7 +21,7 @@ graph::DynamicDiGraph MakeGraph(std::size_t n, double degree,
   // Clustered, like the real datasets: the Inc-SR vs Inc-uSR scaling
   // claim concerns graphs whose similarity structure HAS prunable zeros;
   // an unclustered small graph saturates S and measures only overhead
-  // (see EXPERIMENTS.md on the dense-reach scale artifact).
+  // (a dense-reach artifact of small scale).
   auto stream = graph::EvolvingLinkage(
       {.num_nodes = n,
        .num_edges = static_cast<std::size_t>(degree * static_cast<double>(n)),

@@ -6,7 +6,8 @@
 //     an untouched session is a no-op.
 //   - Counters: write-path spills count in rows_spilled_dense;
 //     epoch_peak_dense_bytes watermarks the transient dense footprint and
-//     resets at Publish().
+//     resets at Publish(). Power-law churn into an isolated-node store
+//     merges sparse throughout: zero transient dense bytes, zero spills.
 //   - Service equivalence: a tiered service on the sparse-native write
 //     path agrees bitwise with a dense-backed service (sparsity off) at
 //     eps = 0 and stays within its own recorded error bound at eps > 0,
@@ -17,6 +18,7 @@
 //     spills and demotions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -229,6 +231,57 @@ TEST(StoreCounters, EpochPeakDenseBytesWatermarksAndResets) {
   // Publish restarts the watermark at the resident footprint.
   store.Publish();
   EXPECT_EQ(store.stats().epoch_peak_dense_bytes, 0u);
+}
+
+// Sustained power-law ingest into an all-sparse isolated-node index: every
+// batch merges into sparse rows in place, touched rows are re-sparsified
+// (the serving tier's publish-time policy) and Publish() closes the epoch,
+// so no batch ever holds a dense row, even transiently.
+TEST(StoreChurn, PowerLawInsertsIntoIsolatedStoreNeverGoDense) {
+  const std::size_t n = 8192;
+  simrank::SimRankOptions options;
+  options.damping = 0.6;
+  options.iterations = 15;
+  auto index = core::DynamicSimRank::CreateIsolated(
+      n, options, core::UpdateAlgorithm::kIncSR);
+  ASSERT_TRUE(index.ok());
+  la::ScoreStore* store = index->mutable_score_store();
+  store->set_sparsity({.epsilon = 1e-5,
+                       .max_density = 0.5,
+                       .error_amplification = 1.0 / (1.0 - options.damping)});
+  store->Publish();  // settle the construction epoch: watermark := resident
+
+  graph::CitationModelParams params;
+  params.num_nodes = n;
+  params.seed = 11;
+  auto stream = graph::PreferentialCitation(params);
+  ASSERT_TRUE(stream.ok());
+  ASSERT_GE(stream->size(), 1024u);
+  std::vector<graph::EdgeUpdate> updates;
+  for (std::size_t k = 0; k < 1024; ++k) {
+    updates.push_back({graph::UpdateKind::kInsert, (*stream)[k].edge.src,
+                       (*stream)[k].edge.dst});
+  }
+
+  std::uint64_t peak_dense_bytes = 0;
+  for (std::size_t start = 0; start < updates.size(); start += 32) {
+    const std::vector<graph::EdgeUpdate> batch(updates.begin() + start,
+                                               updates.begin() + start + 32);
+    ASSERT_TRUE(index->ApplyBatch(batch).ok());
+    if (index->AllScoreRowsTouched()) {
+      for (std::size_t i = 0; i < n; ++i) store->SparsifyRow(i, {});
+    } else {
+      for (std::int32_t row : index->TouchedScoreRows()) {
+        store->SparsifyRow(static_cast<std::size_t>(row), {});
+      }
+    }
+    peak_dense_bytes =
+        std::max(peak_dense_bytes, store->stats().epoch_peak_dense_bytes);
+    store->Publish();
+  }
+  EXPECT_EQ(peak_dense_bytes, 0u);
+  EXPECT_EQ(store->stats().rows_spilled_dense, 0u);
+  EXPECT_GT(store->stats().sparse_write_merges, 0u);
 }
 
 // ---- Tiered vs dense-backed service equivalence ----------------------------
