@@ -263,23 +263,29 @@ void IncSrEngine::ScatterOuter(const Workspace& xi, const Workspace& eta,
   // S += ξ·ηᵀ + η·ξᵀ, row-parallel over supp(ξ) ∪ supp(η). Each touched
   // row gets its ξ-term writes and then its η-term writes — the exact
   // serial sequence — and rows are disjoint, so the result is bitwise
-  // identical to the serial kernel at any thread count. Write sessions
-  // are opened serially up front: BeginWriteRow may COW-clone a row and
-  // is writer-thread-only. Filling a session (Add / the dense fast path)
-  // touches only writer-local state plus immutable base blocks, so the
-  // workers stream safely; commits are serial again. A sparse-backed row
-  // accumulates (column, delta) pairs seeded from its stored values —
-  // the same per-column FP sequence as writing through a densified row —
-  // and commit index-merges them, so the row never leaves its tier.
+  // identical to the serial kernel at any thread count. A row's write
+  // session opens at its first scatter of the update and stays open
+  // across the K+1 scatters; CommitOpenSessions commits it once at the
+  // end (nothing reads S in between). Sessions are opened serially:
+  // BeginWriteRow may COW-clone a row and is writer-thread-only. Filling
+  // a session (Add / the dense fast path) touches only writer-local state
+  // plus immutable base blocks, so the workers stream safely. A
+  // sparse-backed row accumulates (column, delta) pairs seeded from its
+  // stored values — the same per-column FP sequence as writing through a
+  // densified row, however many scatters feed it — and its one commit
+  // index-merges them, so the row never leaves its tier.
   scatter_rows_.clear();
   std::set_union(xi.indices.begin(), xi.indices.end(), eta.indices.begin(),
                  eta.indices.end(), std::back_inserter(scatter_rows_));
-  if (scatter_writers_.size() < scatter_rows_.size()) {
-    scatter_writers_.resize(scatter_rows_.size());
-  }
-  for (std::size_t k = 0; k < scatter_rows_.size(); ++k) {
-    s->BeginWriteRow(static_cast<std::size_t>(scatter_rows_[k]),
-                     &scatter_writers_[k]);
+  for (std::int32_t r : scatter_rows_) {
+    std::int32_t& slot = row_slot_[static_cast<std::size_t>(r)];
+    if (slot >= 0) continue;
+    slot = static_cast<std::int32_t>(open_sessions_);
+    if (scatter_writers_.size() == open_sessions_) {
+      scatter_writers_.emplace_back();
+    }
+    s->BeginWriteRow(static_cast<std::size_t>(r),
+                     &scatter_writers_[open_sessions_++]);
   }
   const std::size_t per_row = xi.indices.size() + eta.indices.size();
   const std::size_t grain = std::max<std::size_t>(
@@ -289,7 +295,8 @@ void IncSrEngine::ScatterOuter(const Workspace& xi, const Workspace& eta,
       [this, &xi, &eta](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
           const auto r = static_cast<std::size_t>(scatter_rows_[k]);
-          la::RowWriter& w = scatter_writers_[k];
+          la::RowWriter& w =
+              scatter_writers_[static_cast<std::size_t>(row_slot_[r])];
           if (w.is_dense()) {
             // Dense fast path: identical to the old flat-pointer kernel.
             double* __restrict row = w.Dense();
@@ -326,9 +333,16 @@ void IncSrEngine::ScatterOuter(const Workspace& xi, const Workspace& eta,
           }
         }
       });
-  for (std::size_t k = 0; k < scatter_rows_.size(); ++k) {
-    s->CommitWriteRow(&scatter_writers_[k]);
+}
+
+void IncSrEngine::CommitOpenSessions(la::ScoreStore* s) {
+  TRACE_SCOPE_ARG(kKernelScatter, open_sessions_);
+  for (std::size_t k = 0; k < open_sessions_; ++k) {
+    la::RowWriter& w = scatter_writers_[k];
+    row_slot_[w.row()] = -1;
+    s->CommitWriteRow(&w);
   }
+  open_sessions_ = 0;
 }
 
 Status IncSrEngine::ApplyUpdate(const graph::EdgeUpdate& update,
@@ -365,6 +379,7 @@ void IncSrEngine::RunPrunedIterations(graph::NodeId target,
   // Theorem 4; everything outside them stays untouched in S.
   const double c = options_.damping;
   const std::size_t n = new_graph.num_nodes();
+  if (row_slot_.size() < n) row_slot_.resize(n, -1);
   xi_.EnsureSize(n);
   xi_.Clear();
   xi_.Accumulate(target, c);
@@ -384,6 +399,7 @@ void IncSrEngine::RunPrunedIterations(graph::NodeId target,
     stats_.b_sizes.push_back(eta_.indices.size());
     ScatterOuter(xi_, eta_, s);
   }
+  CommitOpenSessions(s);
 }
 
 Status IncSrEngine::ApplyRowUpdate(graph::NodeId target,

@@ -40,7 +40,10 @@ namespace incsr::core {
 /// S is a la::ScoreStore, read through its stored entries
 /// (la::ScoreRows::ForEachStored) and written only through
 /// per-row la::RowWriter sessions, opened just for the rows the engine
-/// scatters into (so a publish pays COW for O(affected rows) only).
+/// scatters into (so a publish pays COW for O(affected rows) only). A
+/// session spans the whole update: it opens at the row's first scatter
+/// and commits once after the last of the K+1 scatters, so a sparse row
+/// is index-merged once per update, not once per iteration.
 /// The hot loops — seed scan, support expansion, outer-product scatter —
 /// run on the shared Scheduler with options.num_threads-way parallelism.
 /// S is bitwise identical at every thread count: rows are scattered
@@ -127,13 +130,18 @@ class IncSrEngine {
                      const Workspace& cur, Workspace* next);
 
   // S += ξ·ηᵀ + η·ξᵀ restricted to the touched supports, row-parallel
-  // over supp(ξ) ∪ supp(η). Write sessions are opened serially
-  // (BeginWriteRow is writer-thread-only), filled in parallel (disjoint
-  // rows ⇒ disjoint writers), and committed serially; each row's write
+  // over supp(ξ) ∪ supp(η). A row's write session opens (serially:
+  // BeginWriteRow is writer-thread-only) at its first scatter of the
+  // update and stays open for the rest of it; sessions are filled in
+  // parallel (disjoint rows ⇒ disjoint writers). Each row's write
   // sequence equals the serial kernel's, so the result is bitwise
   // identical to serial whatever backing each row has.
   void ScatterOuter(const Workspace& xi, const Workspace& eta,
                     la::ScoreStore* s);
+
+  // Commits every session ScatterOuter opened during this update, once
+  // each, in first-touch order, and closes them.
+  void CommitOpenSessions(la::ScoreStore* s);
 
   // Gathers the nonzero entries of row `row` of S (ascending; a stored
   // −0.0 is skipped like an absent +0.0) into expand_sources_/weights_.
@@ -169,7 +177,12 @@ class IncSrEngine {
   std::vector<std::int32_t> expand_sources_;
   std::vector<double> expand_weights_;
   std::vector<std::int32_t> scatter_rows_;  // supp(ξ) ∪ supp(η) scratch
-  std::vector<la::RowWriter> scatter_writers_;  // one write session per row
+  // One write session per row the update scatters into, in first-touch
+  // order; the first open_sessions_ are open. row_slot_[r] is row r's
+  // index into scatter_writers_, or −1 while r has no open session.
+  std::vector<la::RowWriter> scatter_writers_;
+  std::size_t open_sessions_ = 0;
+  std::vector<std::int32_t> row_slot_;
 };
 
 }  // namespace incsr::core

@@ -135,7 +135,7 @@ class TopKIndex {
   /// sparse row, O(n log c) on a dense one). Either way the entry is
   /// bitwise TopKForOf(scores, row, capacity()), provided every row whose
   /// bytes changed since its entry was ranked is in `rows`. Rows must be
-  /// in range; duplicates are harmless. Writer thread only.
+  /// in range, in any order; duplicates are harmless. Writer thread only.
   void RebuildRows(const la::ScoreStore& scores,
                    std::span<const std::int32_t> rows);
 

@@ -8,13 +8,15 @@
 // coalesced batch path) at num_threads ∈ {1, 2, 4, hardware} and memcmp
 // the results, both on a never-published score store (every write lands
 // in place) and on one that publishes epochs (writes copy-on-write),
-// including the epoch-view sequence a serving reader would pin. The
-// suite runs in the TSan CI job to prove the pool + copy-on-write
-// interplay is race-free.
+// including the epoch-view sequence a serving reader would pin. The Inc-SR
+// paths also replay on an all-sparse store (ε = 0) against the
+// dense-backed replay. The suite runs in the TSan CI job to prove the
+// pool + copy-on-write interplay is race-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <mutex>
@@ -158,6 +160,7 @@ std::vector<int> ThreadCounts() {
 struct Replay {
   la::DenseMatrix final_s;
   std::vector<la::DenseMatrix> epochs;
+  std::uint64_t sparse_write_merges = 0;
 };
 
 enum class Mode { kIncSrUnit, kIncUsrUnit, kCoalescedBatch };
@@ -197,12 +200,20 @@ void Drive(const Fixture& f, Mode mode, int threads,
 }
 
 // publish_every = 0 never publishes, so every write lands in place;
-// otherwise every write after a publish copies-on-write.
+// otherwise every write after a publish copies-on-write. A tiered replay
+// first sparsifies every row at ε = 0 (lossless), so the kernels write
+// through sparse write sessions instead of dense rows.
 Replay ReplayStore(const Fixture& f, Mode mode, int threads,
-                   std::size_t publish_every) {
+                   std::size_t publish_every, bool tiered = false) {
   graph::DynamicDiGraph g = f.base;
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   la::ScoreStore s{la::DenseMatrix(f.s0)};
+  if (tiered) {
+    s.set_sparsity({.epsilon = 0.0, .max_density = 1.0});
+    for (std::size_t i = 0; i < s.rows(); ++i) {
+      EXPECT_TRUE(s.SparsifyRow(i, {}));
+    }
+  }
   Replay replay;
   std::size_t applied = 0;
   Drive(f, mode, threads, &g, &q, &s, [&] {
@@ -211,6 +222,7 @@ Replay ReplayStore(const Fixture& f, Mode mode, int threads,
     }
   });
   replay.final_s = s.ToDense();
+  replay.sparse_write_merges = s.stats().sparse_write_merges;
   return replay;
 }
 
@@ -260,6 +272,39 @@ INSTANTIATE_TEST_SUITE_P(AllUpdatePaths, ParallelKernelsTest,
                              case Mode::kCoalescedBatch: return "Coalesced";
                            }
                            return "Unknown";
+                         });
+
+// The Inc-SR paths on an all-sparse store: each row's write session stays
+// open across the K+1 parallel scatters of an update, and the final S and
+// every pinned epoch view must still match the dense-backed replay
+// byte for byte at every thread count.
+class ParallelKernelsTieredTest : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(ParallelKernelsTieredTest, EpochsMatchDenseBackedAcrossThreadCounts) {
+  Fixture f = MakeFixture(520, 24, 16, 10);
+  const std::size_t publish_every = 8;
+  Replay dense = ReplayStore(f, GetParam(), 1, publish_every);
+  for (int threads : ThreadCounts()) {
+    Replay run = ReplayStore(f, GetParam(), threads, publish_every,
+                             /*tiered=*/true);
+    EXPECT_GT(run.sparse_write_merges, 0u);
+    EXPECT_TRUE(BitwiseEqual(run.final_s, dense.final_s))
+        << "tiered S diverged at " << threads << " threads";
+    ASSERT_EQ(run.epochs.size(), dense.epochs.size());
+    for (std::size_t e = 0; e < run.epochs.size(); ++e) {
+      EXPECT_TRUE(BitwiseEqual(run.epochs[e], dense.epochs[e]))
+          << "tiered epoch " << e << " diverged at " << threads << " threads";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IncSrPaths, ParallelKernelsTieredTest,
+                         ::testing::Values(Mode::kIncSrUnit,
+                                           Mode::kCoalescedBatch),
+                         [](const auto& info) {
+                           return info.param == Mode::kIncSrUnit
+                                      ? "IncSR"
+                                      : "Coalesced";
                          });
 
 // A view pinned BEFORE parallel updates must stay byte-stable: the

@@ -2,8 +2,12 @@
 //   - RowWriter sessions: merge commits keep rows sparse and reproduce the
 //     densified byte sequence exactly (first-touch seeding + in-order
 //     deltas), exact +0.0 merge results elide losslessly, the max_density
-//     gate spills to dense, kernels may spill explicitly via Dense(), and
+//     gate spills to dense and judges the merged row (not the touched
+//     columns), kernels may spill explicitly via Dense(), and
 //     an untouched session is a no-op.
+//   - One session per row per update: an Inc-SR unit or coalesced update
+//     commits each row it writes once, so its merges plus spills equal
+//     its touched rows.
 //   - Counters: write-path spills count in rows_spilled_dense;
 //     epoch_peak_dense_bytes watermarks the transient dense footprint and
 //     resets at Publish(). Power-law churn into an isolated-node store
@@ -29,7 +33,9 @@
 
 #include "common/rng.h"
 #include "core/dynamic_simrank.h"
+#include "core/inc_sr.h"
 #include "graph/generators.h"
+#include "graph/transition.h"
 #include "graph/update_stream.h"
 #include "la/row_writer.h"
 #include "la/score_store.h"
@@ -148,6 +154,36 @@ TEST(RowWriterSession, MaxDensityGateSpillsToDense) {
   EXPECT_EQ(store.stats().rows_sparse, 7u);
   EXPECT_EQ(store(1, 1), 0.4);  // base entry survived the spill gather
   for (std::size_t col = 2; col < 6; ++col) EXPECT_EQ(store(1, col), 0.125);
+}
+
+// The gate judges the row the session commits, not the columns it
+// touched: writes that cancel to exact +0.0 leave no entry behind. An
+// Inc-SR session spans all K+1 scatters of an update, so this is the
+// verdict a row gets once per update.
+TEST(RowWriterSession, MaxDensityGateJudgesTheMergedRow) {
+  const std::size_t n = 8;
+  la::DenseMatrix initial(n, n);  // zero-initialized
+  for (std::size_t i = 0; i < n; ++i) initial.RowPtr(i)[i] = 0.4;
+  auto write = [](la::ScoreStore* store, la::RowWriter* w) {
+    store->BeginWriteRow(1, w);
+    for (std::size_t col = 2; col < 6; ++col) w->Add(col, 0.125);
+    for (std::size_t col = 2; col < 5; ++col) w->Add(col, -0.125);
+  };
+
+  la::ScoreStore store = SparseIdentity(n, 0.4);
+  store.set_sparsity({.epsilon = 0.0, .max_density = 0.25});  // max_nnz = 2
+  la::RowWriter w;
+  write(&store, &w);
+  EXPECT_GT(w.touched_count(), 2u);  // touched past the gate...
+  store.CommitWriteRow(&w);
+  EXPECT_TRUE(store.RowIsSparse(1));  // ...but merged to {1, 5}: under it
+  EXPECT_EQ(store.stats().rows_spilled_dense, 0u);
+  EXPECT_EQ(store.stats().sparse_write_merges, 1u);
+
+  la::ScoreStore dense(initial);
+  write(&dense, &w);
+  dense.CommitWriteRow(&w);
+  EXPECT_TRUE(la::BitwiseEqual(store.ToDense(), dense.ToDense()));
 }
 
 TEST(RowWriterSession, KernelSpillViaDensePointer) {
@@ -282,6 +318,74 @@ TEST(StoreChurn, PowerLawInsertsIntoIsolatedStoreNeverGoDense) {
   EXPECT_EQ(peak_dense_bytes, 0u);
   EXPECT_EQ(store->stats().rows_spilled_dense, 0u);
   EXPECT_GT(store->stats().sparse_write_merges, 0u);
+}
+
+// ---- One write session per row per update ---------------------------------
+
+std::uint64_t Commits(const la::ScoreStore& s) {
+  return s.stats().sparse_write_merges + s.stats().rows_spilled_dense;
+}
+
+bool HasDuplicate(std::vector<std::int32_t> rows) {
+  std::sort(rows.begin(), rows.end());
+  return std::adjacent_find(rows.begin(), rows.end()) != rows.end();
+}
+
+// Each row an Inc-SR update writes is committed exactly once, however many
+// of the K+1 scatters reach it: after a Publish() every commit displaces a
+// published block, so it is one merge (or one spill) and one touched
+// record, and the two counts agree. Per-scatter commits would merge a row
+// once per scatter that reaches it.
+TEST(IncSrWriteSessions, EachTouchedRowCommitsOncePerUpdate) {
+  const std::size_t n = 256;
+  simrank::SimRankOptions options;
+  options.damping = 0.6;
+  options.iterations = 10;
+  core::IncSrEngine engine(options);
+  graph::DynamicDiGraph g(n);
+  la::DynamicRowMatrix q = graph::BuildTransition(g);
+  la::ScoreStore s = SparseIdentity(n, 1.0 - options.damping);
+  auto edges = graph::ErdosRenyiGnm(n, 384, 13);
+  ASSERT_TRUE(edges.ok());
+  for (const graph::TimestampedEdge& e : *edges) {
+    ASSERT_TRUE(engine
+                    .ApplyUpdate({graph::UpdateKind::kInsert, e.edge.src,
+                                  e.edge.dst},
+                                 &g, &q, &s)
+                    .ok());
+  }
+
+  // One unit update.
+  s.Publish();
+  std::uint64_t before = Commits(s);
+  Rng rng(5);
+  auto insert = graph::SampleInsertions(g, 1, &rng);
+  ASSERT_TRUE(insert.ok());
+  ASSERT_TRUE(engine.ApplyUpdate((*insert)[0], &g, &q, &s).ok());
+  EXPECT_GT(s.touched_rows().size(), 1u);
+  EXPECT_EQ(Commits(s) - before, s.touched_rows().size());
+  EXPECT_FALSE(HasDuplicate(s.touched_rows()));
+
+  // One coalesced row update on the most-cited node: drop one in-edge and
+  // add two.
+  s.Publish();
+  before = Commits(s);
+  graph::NodeId target = 0;
+  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {
+    if (g.InDegree(v) > g.InDegree(target)) target = v;
+  }
+  ASSERT_GT(g.InDegree(target), 0u);
+  std::vector<graph::EdgeUpdate> changes = {
+      {graph::UpdateKind::kDelete, g.InNeighbors(target)[0], target}};
+  for (graph::NodeId src = 0; changes.size() < 3; ++src) {
+    if (src != target && !g.HasEdge(src, target)) {
+      changes.push_back({graph::UpdateKind::kInsert, src, target});
+    }
+  }
+  ASSERT_TRUE(engine.ApplyRowUpdate(target, changes, &g, &q, &s).ok());
+  EXPECT_GT(s.touched_rows().size(), 1u);
+  EXPECT_EQ(Commits(s) - before, s.touched_rows().size());
+  EXPECT_FALSE(HasDuplicate(s.touched_rows()));
 }
 
 // ---- Tiered vs dense-backed service equivalence ----------------------------
