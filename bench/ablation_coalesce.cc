@@ -7,9 +7,8 @@
 // multiplicity, and fails unless both produce the same scores (max |dS
 // diff| <= 1e-9).
 //
-// Usage: ablation_coalesce [n]                        (default 1200)
+// Flags: bench_ablation_coalesce --help.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -17,8 +16,10 @@
 int main(int argc, char** argv) {
   using namespace incsr;
   bench::InitBench();
-  const std::size_t n =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 1200;
+  std::size_t n = 1200;
+  FlagTable flags("bench_ablation_coalesce");
+  flags.Int("--nodes", "N", "citation graph nodes", &n);
+  flags.ParseOrExit(argc, argv);
 
   auto stream = graph::PreferentialCitation(
       {.num_nodes = n, .mean_out_degree = 7.0, .seed = 47});

@@ -5,10 +5,9 @@
 // C^(K+1), and (iii) the update wall time. The error must sit below the
 // bound and decay geometrically; time grows linearly in K.
 //
-// Usage: ablation_k_sweep [n]                         (default 800)
+// Flags: bench_ablation_k_sweep --help.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -16,8 +15,10 @@
 int main(int argc, char** argv) {
   using namespace incsr;
   bench::InitBench();
-  const std::size_t n =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 800;
+  std::size_t n = 800;
+  FlagTable flags("bench_ablation_k_sweep");
+  flags.Int("--nodes", "N", "graph nodes", &n);
+  flags.ParseOrExit(argc, argv);
 
   auto stream = graph::EvolvingLinkage(
       {.num_nodes = n, .num_edges = 8 * n, .seed = 29});

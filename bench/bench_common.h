@@ -67,6 +67,14 @@ TimedUpdates TimeUpdates(const std::vector<graph::EdgeUpdate>& delta,
   return result;
 }
 
+/// The figure benches' --scale row: a multiplier on each stand-in's scale,
+/// at most 1 / `largest_scale` so that every dataset's stays in (0, 1].
+inline FlagTable& ScaleFlag(FlagTable& flags, double* multiplier,
+                            double largest_scale) {
+  return flags.Double("--scale", "X", "stand-in scale multiplier", multiplier,
+                      0.0, 1 / largest_scale, /*exclusive_min=*/true);
+}
+
 /// Loads a SNAP edge list and cuts it into a snapshot series for the
 /// figure harnesses (--edges FILE [--temporal]). With `temporal` the
 /// file's line order is taken as the arrival order — SNAP temporal

@@ -17,17 +17,13 @@
 //     YOUTU, the paper's settings, C = 0.6), row-parallel on the same
 //     num_threads as the incremental kernels.
 //
-// Usage: fig2a_time_real [scale_multiplier] [update_cap]
-//        fig2a_time_real --edges FILE [--temporal] [--snapshots N]
-//                        [--iterations K] [--cap CAP]
+// Flags: bench_fig2a_time_real --help.
 //
 // The --edges form replays a real SNAP edge list instead of the synthetic
 // stand-ins: the file is cut into N snapshots (--temporal takes the line
 // order as arrival order; otherwise a deterministic shuffle) and runs
 // through the identical per-transition protocol.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_common.h"
@@ -136,8 +132,8 @@ void RunSeries(const graph::SnapshotSeries& series, const std::string& title,
 }
 
 void RunDataset(const DatasetConfig& config, double scale_mult,
-                std::size_t cap_override) {
-  const std::size_t cap = cap_override > 0 ? cap_override : config.cap;
+                std::size_t cap) {
+  if (cap == 0) cap = config.cap;
   const double scale = config.scale * scale_mult;
   datasets::DatasetOptions data_options;
   data_options.scale = scale;
@@ -155,39 +151,21 @@ void RunDataset(const DatasetConfig& config, double scale_mult,
 int main(int argc, char** argv) {
   bench::InitBench();
 
-  // --edges form: replay a real SNAP file through the same protocol.
   std::string edges_path;
   bool temporal = false;
   std::size_t num_snapshots = 6;
   int iterations = 15;
-  std::size_t cap = 100;
   double scale_mult = 1.0;
-  std::size_t cap_override = 0;
-  int positional = 0;
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    auto next = [&]() -> const char* {
-      INCSR_CHECK(a + 1 < argc, "%s needs a value", arg.c_str());
-      return argv[++a];
-    };
-    if (arg == "--edges") {
-      edges_path = next();
-    } else if (arg == "--temporal") {
-      temporal = true;
-    } else if (arg == "--snapshots") {
-      num_snapshots = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--iterations") {
-      iterations = std::atoi(next());
-    } else if (arg == "--cap") {
-      cap = static_cast<std::size_t>(std::atoll(next()));
-    } else if (positional == 0) {
-      scale_mult = std::atof(arg.c_str());
-      ++positional;
-    } else {
-      cap_override = static_cast<std::size_t>(std::atoll(arg.c_str()));
-      ++positional;
-    }
-  }
+  std::size_t cap = 0;
+  FlagTable flags("bench_fig2a_time_real");
+  bench::ScaleFlag(flags, &scale_mult, 0.08)
+      .Int("--cap", "N", "timed updates per transition; 0 = DBLP 200, CitH "
+           "100, YouTu 25, --edges 100", &cap)
+      .String("--edges", "FILE", "SNAP edge list to replay", &edges_path)
+      .Switch("--temporal", "--edges line order is arrival order", &temporal)
+      .Int("--snapshots", "N", "--edges snapshots", &num_snapshots, 1)
+      .Int("--iterations", "K", "--edges SimRank iterations", &iterations);
+  flags.ParseOrExit(argc, argv);
 
   if (!edges_path.empty()) {
     auto series =
@@ -195,16 +173,17 @@ int main(int argc, char** argv) {
     INCSR_CHECK(series.ok(), "--edges %s: %s", edges_path.c_str(),
                 series.status().ToString().c_str());
     RunSeries(*series, edges_path + (temporal ? " [temporal]" : " [shuffled]"),
-              iterations, /*svd_as_published=*/false, /*scale=*/1.0, cap);
+              iterations, /*svd_as_published=*/false, /*scale=*/1.0,
+              cap == 0 ? 100 : cap);
     return 0;
   }
 
   RunDataset({datasets::DatasetKind::kDblp, 0.08, 15, false, 200}, scale_mult,
-             cap_override);
+             cap);
   RunDataset({datasets::DatasetKind::kCitH, 0.05, 15, false, 100}, scale_mult,
-             cap_override);
+             cap);
   RunDataset({datasets::DatasetKind::kYouTu, 0.03, 5, true, 25}, scale_mult,
-             cap_override);
+             cap);
 
   std::puts(
       "\nReading the shape against the paper's Fig. 2a: Inc-SVD pays the "

@@ -4,9 +4,8 @@
 // r/n is 80-95%, nowhere near "negligibly smaller than n", so Inc-SVD's
 // O(r⁴·n²) update cannot be made accurate cheaply.
 //
-// Usage: fig2b_svd_rank [scale_multiplier]
+// Flags: bench_fig2b_svd_rank --help.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -77,7 +76,9 @@ void RunDataset(datasets::DatasetKind kind, double scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale_mult = argc > 1 ? std::atof(argv[1]) : 1.0;
+  double scale_mult = 1.0;
+  FlagTable flags("bench_fig2b_svd_rank");
+  bench::ScaleFlag(flags, &scale_mult, 0.05).ParseOrExit(argc, argv);
   RunDataset(datasets::DatasetKind::kDblp, 0.05 * scale_mult);
   RunDataset(datasets::DatasetKind::kCitH, 0.025 * scale_mult);
   std::puts(

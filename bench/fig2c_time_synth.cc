@@ -5,9 +5,8 @@
 // with the linkage-model generator. Batch and the incremental kernels run
 // on the same num_threads.
 //
-// Usage: fig2c_time_synth [scale] [update_cap]        (default 0.025, 150)
+// Flags: bench_fig2c_time_synth --help.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -41,9 +40,13 @@ void PrintRows(const char* title, const std::vector<Row>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.025;
-  const std::size_t cap =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 60;
+  double scale = 0.025;
+  std::size_t cap = 60;
+  FlagTable flags("bench_fig2c_time_synth");
+  flags.Double("--scale", "X", "share of the paper's 79,483 nodes", &scale,
+               0.0, DBL_MAX, /*exclusive_min=*/true)
+      .Int("--cap", "N", "timed updates per step", &cap);
+  flags.ParseOrExit(argc, argv);
 
   const auto n = static_cast<std::size_t>(kPaperNodes * scale);
   const auto e_low = static_cast<std::size_t>(kPaperEdgesLow * scale);

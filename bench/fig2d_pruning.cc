@@ -7,9 +7,8 @@
 // pairs whose similarity the snapshot delta leaves untouched (their ΔS
 // entries are a-priori zero, so Inc-SR never visits them).
 //
-// Usage: fig2d_pruning [scale_multiplier] [update_cap]
+// Flags: bench_fig2d_pruning --help.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -68,9 +67,12 @@ void RunDataset(const DatasetConfig& config, double scale_mult,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale_mult = argc > 1 ? std::atof(argv[1]) : 1.0;
-  const std::size_t cap =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 200;
+  double scale_mult = 1.0;
+  std::size_t cap = 200;
+  FlagTable flags("bench_fig2d_pruning");
+  bench::ScaleFlag(flags, &scale_mult, 0.08)
+      .Int("--cap", "N", "timed updates per stand-in", &cap);
+  flags.ParseOrExit(argc, argv);
   bench::PrintHeader("Fig. 2d — effect of pruning (Inc-SR vs Inc-uSR)");
   RunDataset({datasets::DatasetKind::kDblp, 0.08, 15}, scale_mult, cap);
   RunDataset({datasets::DatasetKind::kCitH, 0.05, 15}, scale_mult, cap);

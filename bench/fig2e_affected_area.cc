@@ -4,9 +4,8 @@
 // changes over the whole delta (the complement of Fig. 2d's pruned set).
 // The paper reports ~19-28% and a mild growth with |ΔE|.
 //
-// Usage: fig2e_affected_area [scale_multiplier]
+// Flags: bench_fig2e_affected_area --help.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -58,7 +57,9 @@ void RunDataset(const DatasetConfig& config, double scale_mult) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale_mult = argc > 1 ? std::atof(argv[1]) : 1.0;
+  double scale_mult = 1.0;
+  FlagTable flags("bench_fig2e_affected_area");
+  bench::ScaleFlag(flags, &scale_mult, 0.08).ParseOrExit(argc, argv);
   bench::PrintHeader("Fig. 2e — % of affected areas w.r.t. |dE|");
   RunDataset({datasets::DatasetKind::kDblp, 0.08, 15}, scale_mult);
   RunDataset({datasets::DatasetKind::kCitH, 0.05, 15}, scale_mult);

@@ -8,15 +8,12 @@
 //   - Inc-SVD: factor matrices (n·r) plus the materialized Kronecker
 //     system and its inverse (Θ(r⁴)) in the faithful tensor-order scoring.
 //
-// Usage: fig3_memory [scale_multiplier]
-//        fig3_memory --edges FILE [--temporal] [--snapshots N]
-//                    [--iterations K]
+// Flags: bench_fig3_memory --help.
 //
 // The --edges form measures the same intermediates on a real SNAP edge
 // list (--temporal takes the line order as arrival order; otherwise a
 // deterministic shuffle) instead of the synthetic stand-ins.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.h"
@@ -112,24 +109,13 @@ int main(int argc, char** argv) {
   std::size_t num_snapshots = 6;
   int iterations = 15;
   double scale_mult = 1.0;
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg = argv[a];
-    auto next = [&]() -> const char* {
-      INCSR_CHECK(a + 1 < argc, "%s needs a value", arg.c_str());
-      return argv[++a];
-    };
-    if (arg == "--edges") {
-      edges_path = next();
-    } else if (arg == "--temporal") {
-      temporal = true;
-    } else if (arg == "--snapshots") {
-      num_snapshots = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--iterations") {
-      iterations = std::atoi(next());
-    } else {
-      scale_mult = std::atof(arg.c_str());
-    }
-  }
+  FlagTable flags("bench_fig3_memory");
+  bench::ScaleFlag(flags, &scale_mult, 0.08)
+      .String("--edges", "FILE", "SNAP edge list to measure", &edges_path)
+      .Switch("--temporal", "--edges line order is arrival order", &temporal)
+      .Int("--snapshots", "N", "--edges snapshots", &num_snapshots, 1)
+      .Int("--iterations", "K", "--edges SimRank iterations", &iterations);
+  flags.ParseOrExit(argc, argv);
 
   bench::PrintHeader("Fig. 3 — intermediate memory (output S excluded)");
   if (!edges_path.empty()) {

@@ -4,9 +4,8 @@
 // (pruning is lossless) and reach NDCG ≈ 1; Inc-SVD stays well below 1
 // because its factor update loses eigen-information.
 //
-// Usage: fig4_ndcg [scale_multiplier]
+// Flags: bench_fig4_ndcg --help.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -89,7 +88,9 @@ void RunDataset(const DatasetConfig& config, double scale_mult) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale_mult = argc > 1 ? std::atof(argv[1]) : 1.0;
+  double scale_mult = 1.0;
+  FlagTable flags("bench_fig4_ndcg");
+  bench::ScaleFlag(flags, &scale_mult, 0.05).ParseOrExit(argc, argv);
   bench::PrintHeader("Fig. 4 — NDCG30 exactness vs Batch (K = 35)");
   RunDataset({datasets::DatasetKind::kDblp, 0.05}, scale_mult);
   RunDataset({datasets::DatasetKind::kCitH, 0.04}, scale_mult);

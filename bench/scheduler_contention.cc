@@ -27,11 +27,7 @@
 // parity (both modes degenerate to time-slicing) where real multi-core
 // serving hosts show the scaling this bench exists to prove.
 //
-// Usage: bench_scheduler_contention [--nodes N] [--degree D]
-//          [--updates U] [--iterations K] [--appliers A]
-//          [--threads-list 1,2,4] [--publish-every P] [--json PATH]
-#include <cstdlib>
-#include <cstring>
+// Flags: bench_scheduler_contention --help.
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,50 +161,17 @@ RunResult RunContended(const Config& config,
 int main(int argc, char** argv) {
   bench::InitBench();
   Config config;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> std::string {
-      INCSR_CHECK(i + 1 < argc, "flag %s needs a value", argv[i]);
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--nodes") == 0) {
-      config.nodes = static_cast<std::size_t>(std::atoll(next().c_str()));
-    } else if (std::strcmp(argv[i], "--degree") == 0) {
-      config.degree = std::atof(next().c_str());
-    } else if (std::strcmp(argv[i], "--updates") == 0) {
-      config.updates = static_cast<std::size_t>(std::atoll(next().c_str()));
-    } else if (std::strcmp(argv[i], "--iterations") == 0) {
-      config.iterations = std::atoi(next().c_str());
-    } else if (std::strcmp(argv[i], "--appliers") == 0) {
-      config.appliers = static_cast<std::size_t>(std::atoll(next().c_str()));
-      INCSR_CHECK(config.appliers > 0, "--appliers needs >= 1");
-    } else if (std::strcmp(argv[i], "--publish-every") == 0) {
-      config.publish_every =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
-      INCSR_CHECK(config.publish_every > 0, "--publish-every needs >= 1");
-    } else if (std::strcmp(argv[i], "--threads-list") == 0) {
-      config.threads_list.clear();
-      std::string csv = next();
-      std::size_t start = 0;
-      while (start <= csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::string part =
-            csv.substr(start, comma == std::string::npos ? std::string::npos
-                                                         : comma - start);
-        const int t = std::atoi(part.c_str());
-        INCSR_CHECK(t > 0, "--threads-list needs positive ints, got '%s'",
-                    part.c_str());
-        config.threads_list.push_back(t);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      config.json_path = next();
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
-  INCSR_CHECK(!config.threads_list.empty(), "--threads-list is empty");
+  FlagTable flags("bench_scheduler_contention");
+  flags.Int("--nodes", "N", "nodes per applier", &config.nodes)
+      .Double("--degree", "D", "mean out-degree", &config.degree, 0.0)
+      .Int("--updates", "U", "insertions per applier", &config.updates)
+      .Int("--iterations", "K", "SimRank iterations", &config.iterations)
+      .Int("--appliers", "A", "concurrent appliers", &config.appliers, 1)
+      .IntList("--threads-list", "T1,T2,...", "scheduler sizes to run",
+               &config.threads_list, 1)
+      .Int("--publish-every", "P", "updates/epoch", &config.publish_every, 1)
+      .String("--json", "PATH", "JSON trajectory file", &config.json_path);
+  flags.ParseOrExit(argc, argv);
 
   bench::PrintHeader(
       "scheduler_contention — concurrent appliers on the shared scheduler");

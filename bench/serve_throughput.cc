@@ -7,23 +7,13 @@
 // mixed read/write load. Runs twice — query cache enabled and disabled —
 // so the affected-area invalidation win is visible directly.
 //
-// Query skew: --zipf THETA draws reader query nodes Zipf(θ)-skewed over
-// the node ids (0 = uniform), modeling hot-node traffic — which is also
-// where the affected-area cache invalidation matters most.
-//
-// Churn: --churn delete-heavy replays a 70/30 delete/insert mix (every
+// Flags (bench_serve_throughput --help): --zipf THETA draws reader query
+// nodes Zipf(θ)-skewed (0 = uniform), modeling hot-node traffic;
+// --churn delete-heavy replays a 70/30 delete/insert mix in which every
 // edge appears once, so the stream is valid under any writer
-// interleaving) instead of the default insert-only stream.
-//
-// Kernel parallelism: --threads T runs the applier's update kernels
-// (seed scan, support expansion, scatter) T-way parallel on the shared
-// scheduler (0 = INCSR_THREADS / hardware default). Results are bitwise
-// independent of T; only the applied-updates/s changes.
-//
-// Top-k index: --index-capacity C sets the per-node top-k index size
-// (0 disables it), so the index's O(k) miss path can be compared against
-// the O(n) row-scan miss path under the same load; served/fallback
-// counters land in the report and the JSON trajectory.
+// interleaving; --threads sizes the update kernels, whose results are
+// bitwise independent of it; --index-capacity 0 turns the top-k index
+// off, so its O(k) miss path can be compared with the O(n) row scan.
 //
 // Tracing: --trace-out FILE replays the workload twice more — tracing off
 // then tracing on (obs::Tracer writing FILE) — and reports the applier
@@ -41,16 +31,8 @@
 // Zipf readers with and without the query cache before the cache can be
 // judged, and the --trace-out overhead A/B, a timing comparison whose
 // trace file `incsr_cli trace summarize` also decodes.
-//
-// Usage: bench_serve_throughput [--nodes N] [--edges M] [--updates U]
-//          [--writers W] [--readers R] [--topk K] [--max-batch B]
-//          [--zipf THETA] [--churn insert|delete-heavy] [--threads T]
-//          [--index-capacity C] [--json PATH] [--trace-out FILE]
-//          [--trace-buffer-kb N]
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -290,59 +272,25 @@ void RecordRun(bench::JsonObject* root, const char* label,
 int main(int argc, char** argv) {
   bench::InitBench();
   LoadConfig config;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> std::size_t {
-      INCSR_CHECK(i + 1 < argc, "flag %s needs a value", argv[i]);
-      return static_cast<std::size_t>(std::atoll(argv[++i]));
-    };
-    if (std::strcmp(argv[i], "--nodes") == 0) {
-      config.nodes = next();
-    } else if (std::strcmp(argv[i], "--edges") == 0) {
-      config.edges = next();
-    } else if (std::strcmp(argv[i], "--updates") == 0) {
-      config.updates = next();
-    } else if (std::strcmp(argv[i], "--writers") == 0) {
-      config.writers = next();
-    } else if (std::strcmp(argv[i], "--readers") == 0) {
-      config.readers = next();
-    } else if (std::strcmp(argv[i], "--topk") == 0) {
-      config.topk = next();
-    } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-      config.max_batch = next();
-    } else if (std::strcmp(argv[i], "--index-capacity") == 0) {
-      config.index_capacity = next();
-    } else if (std::strcmp(argv[i], "--zipf") == 0) {
-      INCSR_CHECK(i + 1 < argc, "flag %s needs a value", argv[i]);
-      const char* value = argv[++i];
-      char* end = nullptr;
-      config.zipf_theta = std::strtod(value, &end);
-      INCSR_CHECK(end != value && *end == '\0' && config.zipf_theta >= 0.0,
-                  "--zipf needs a theta >= 0, got '%s'", value);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      config.threads = static_cast<int>(next());
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      INCSR_CHECK(i + 1 < argc, "flag %s needs a value", argv[i]);
-      config.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      INCSR_CHECK(i + 1 < argc, "flag %s needs a value", argv[i]);
-      config.trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-buffer-kb") == 0) {
-      config.trace_buffer_kb = next();
-      INCSR_CHECK(config.trace_buffer_kb >= 1, "--trace-buffer-kb needs >= 1");
-    } else if (std::strcmp(argv[i], "--churn") == 0) {
-      INCSR_CHECK(i + 1 < argc, "flag %s needs a value", argv[i]);
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "delete-heavy") == 0) {
-        config.delete_heavy = true;
-      } else {
-        INCSR_CHECK(std::strcmp(mode, "insert") == 0,
-                    "unknown churn mode %s", mode);
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
+  FlagTable flags("bench_serve_throughput");
+  flags.Int("--nodes", "N", "base graph nodes", &config.nodes)
+      .Int("--edges", "M", "base graph edges", &config.edges)
+      .Int("--updates", "U", "updates replayed", &config.updates)
+      .Int("--writers", "W", "writer threads", &config.writers)
+      .Int("--readers", "R", "reader threads", &config.readers)
+      .Int("--topk", "K", "k of each query", &config.topk)
+      .Int("--max-batch", "B", "updates per applied batch", &config.max_batch)
+      .Double("--zipf", "THETA", "query Zipf skew", &config.zipf_theta, 0.0)
+      .Choice("--churn", "update stream", &config.delete_heavy,
+              {{"insert", false}, {"delete-heavy", true}})
+      .Int("--threads", "T", "kernel threads; 0 = INCSR_THREADS",
+           &config.threads)
+      .Int("--index-capacity", "C", "top-k index size", &config.index_capacity)
+      .String("--json", "PATH", "JSON trajectory file", &config.json_path)
+      .String("--trace-out", "FILE", "tracing A/B output", &config.trace_out)
+      .Int("--trace-buffer-kb", "N", "trace ring size per thread",
+           &config.trace_buffer_kb, 1);
+  flags.ParseOrExit(argc, argv);
 
   bench::PrintHeader("serve_throughput — mixed read/write serving load");
   std::printf(

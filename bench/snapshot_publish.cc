@@ -17,11 +17,8 @@
 // 131072 fits in memory; building the top-k index still scans every row
 // once (O(n²)), which dominates the run time at the largest sizes.
 //
-// Usage: bench_snapshot_publish [--sizes 16384,32768,65536,131072]
-//          [--touched 7,64] [--epochs E] [--json PATH]
+// Flags: bench_snapshot_publish --help.
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,19 +38,6 @@ struct Config {
   std::size_t epochs = 20;
   std::string json_path;  // when set, emit a BENCH json trajectory file
 };
-
-std::vector<std::size_t> ParseList(const std::string& csv) {
-  std::vector<std::size_t> values;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    values.push_back(static_cast<std::size_t>(
-        std::atoll(csv.substr(start, comma - start).c_str())));
-    start = comma + 1;
-  }
-  return values;
-}
 
 // Distinct pseudo-random rows a batch "touches" (stable per epoch seed).
 std::vector<std::int32_t> TouchedRows(std::size_t n, std::size_t count,
@@ -169,29 +153,13 @@ void RunSize(const Config& config, std::size_t n, bench::JsonObject* json) {
 int main(int argc, char** argv) {
   bench::InitBench();
   Config config;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> std::string {
-      INCSR_CHECK(i + 1 < argc, "flag %s needs a value", argv[i]);
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--sizes") == 0) {
-      config.sizes = ParseList(next());
-    } else if (std::strcmp(argv[i], "--touched") == 0) {
-      config.touched = ParseList(next());
-    } else if (std::strcmp(argv[i], "--epochs") == 0) {
-      config.epochs = static_cast<std::size_t>(std::atoll(next().c_str()));
+  FlagTable flags("bench_snapshot_publish");
+  flags.IntList("--sizes", "N1,N2,...", "node counts n", &config.sizes, 2)
+      .IntList("--touched", "T1,...", "rows written per epoch", &config.touched)
       // The median and per-epoch means divide by this.
-      INCSR_CHECK(config.epochs >= 1, "--epochs needs >= 1");
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      config.json_path = next();
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
-  for (std::size_t n : config.sizes) {
-    INCSR_CHECK(n >= 2, "--sizes needs values >= 2");
-  }
+      .Int("--epochs", "E", "epochs per (n, T)", &config.epochs, 1)
+      .String("--json", "PATH", "JSON trajectory file", &config.json_path);
+  flags.ParseOrExit(argc, argv);
 
   bench::PrintHeader(
       "snapshot_publish — per-table copy-on-write epoch publish");

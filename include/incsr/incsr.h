@@ -9,6 +9,7 @@
 #ifndef INCSR_INCSR_H_
 #define INCSR_INCSR_H_
 
+#include "common/flags.h"        // IWYU pragma: export
 #include "common/memory.h"       // IWYU pragma: export
 #include "common/rng.h"          // IWYU pragma: export
 #include "common/status.h"       // IWYU pragma: export

@@ -1,15 +1,20 @@
 // Tests for the common substrate: Status/Result, memory tracking, RNG
 // determinism and distribution sanity, timers, the paged copy-on-write
-// table.
+// table, the command-line flag table.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/cow_table.h"
+#include "common/flags.h"
 #include "common/memory.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -336,6 +341,230 @@ TEST(CowTableTest, PinnedSnapshotStaysByteStableWhileTheWriterRewrites) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(pinned.size(), n);
   EXPECT_EQ(table[n - 1], -40 * static_cast<int>(n - 1) - 1);
+}
+
+// ---- Flag table -------------------------------------------------------------
+
+enum class Mode { kBlock, kReject };
+
+// One row of every value kind, each with a range to step past.
+struct FlagTargets {
+  std::string input;
+  std::size_t count = 5;
+  std::size_t size = 0;
+  int integer = 7;
+  double real = 1.0;
+  double positive = 0.5;
+  double any = 0.0;
+  std::string text;
+  bool on = false;
+  Mode mode = Mode::kBlock;
+  std::vector<std::size_t> counts = {4, 8};
+  std::vector<int> ints;
+  int a = 0;
+  int b = 0;
+  bool then_ran = false;
+};
+
+FlagTable MakeFlagTable(FlagTargets* t) {
+  FlagTable table("prog");
+  table.Positional("input", "an input file", &t->input)
+      .Int("--count", "N", "a count", &t->count, std::size_t{2},
+           std::size_t{100})
+      .Int("--size", "N", "a count over the whole range", &t->size)
+      .Int("--int", "I", "an int", &t->integer, 0, 50)
+      .Double("--real", "X", "a double", &t->real, 0.5, 2.5)
+      .Double("--positive", "X", "a positive double", &t->positive, 0.0, 1.0,
+              /*exclusive_min=*/true)
+      .Then([t] { t->then_ran = true; })
+      .Double("--any", "X", "any finite double", &t->any)
+      .String("--text", "S", "a string", &t->text)
+      .Switch("--on", "a switch", &t->on)
+      .Choice("--mode", "a choice", &t->mode,
+              {{"block", Mode::kBlock}, {"reject", Mode::kReject}})
+      .IntList("--counts", "N,...", "a count list", &t->counts,
+               std::size_t{2}, std::size_t{100})
+      .IntList("--ints", "I,...", "an int list", &t->ints, 1, 50)
+      .IntPair("--pair", "A B", "two ints", &t->a, &t->b, 0, 10);
+  return table;
+}
+
+// Parses `words` as the arguments after a program name.
+Status ParseWords(FlagTable& table, std::vector<std::string> words) {
+  std::vector<char*> argv = {const_cast<char*>("prog")};
+  for (std::string& word : words) argv.push_back(word.data());
+  return table.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagTableTest, EveryMalformedValueIsInvalidArgument) {
+  const std::vector<std::string> malformed = {
+      "abc", "1x", "", "-1", "99999999999999999999", "nan", "inf"};
+  std::vector<std::vector<std::string>> cases;
+  for (const char* flag : {"--count", "--size", "--int", "--real",
+                           "--positive", "--counts", "--ints"}) {
+    for (const std::string& bad : malformed) cases.push_back({flag, bad});
+  }
+  // An unbounded double still needs a finite number.
+  for (const char* bad : {"abc", "1x", "", "nan", "inf", "-inf", "1e999"}) {
+    cases.push_back({"--any", bad});
+  }
+  for (const std::string& bad : malformed) {
+    cases.push_back({"--pair", bad, "1"});
+    cases.push_back({"--pair", "1", bad});
+  }
+  // A value just past each end of its range.
+  for (std::vector<std::string> past : std::vector<std::vector<std::string>>{
+           {"--count", "1"},
+           {"--count", "101"},
+           {"--int", "51"},
+           {"--real", "0.49999999999999994"},
+           {"--real", "2.5000000000000004"},
+           {"--positive", "0"},
+           {"--positive", "1.0000000000000002"},
+           {"--counts", "1"},
+           {"--counts", "101"},
+           {"--counts", "2,101"},
+           {"--ints", "0"},
+           {"--ints", "51"},
+           {"--pair", "0", "11"},
+           // List items and choices are whole words too.
+           {"--counts", "2,1x"},
+           {"--counts", "2,,3"},
+           {"--counts", "2,"},
+           {"--mode", "abc"},
+           {"--mode", ""},
+           {"--mode", "Block"},
+       }) {
+    cases.push_back(past);
+  }
+  // A missing value, for every row that takes one.
+  for (const char* flag : {"--count", "--size", "--int", "--real",
+                           "--positive", "--any", "--text", "--mode",
+                           "--counts", "--ints", "--pair"}) {
+    cases.push_back({flag});
+  }
+  cases.push_back({"--pair", "1"});
+  // Unknown flags.
+  cases.push_back({"--nope"});
+  cases.push_back({"--count=5"});
+  cases.push_back({"--on", "1"});  // a switch takes no value
+
+  for (std::vector<std::string> words : cases) {
+    FlagTargets targets;
+    FlagTable table = MakeFlagTable(&targets);
+    std::string shown;
+    for (const std::string& word : words) shown += " '" + word + "'";
+    words.insert(words.begin(), "in.txt");
+    const Status status = ParseWords(table, words);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << shown;
+  }
+}
+
+TEST(FlagTableTest, PositionalsAreRequiredAndCounted) {
+  for (std::vector<std::string> words :
+       std::vector<std::vector<std::string>>{{}, {"--on"}, {"a", "b"}}) {
+    FlagTargets targets;
+    FlagTable table = MakeFlagTable(&targets);
+    EXPECT_EQ(ParseWords(table, words).code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FlagTableTest, ValidValuesIncludingRangeEndsLand) {
+  struct Case {
+    std::vector<std::string> words;
+    std::function<bool(const FlagTargets&)> landed;
+  };
+  const std::vector<Case> cases = {
+      {{"--count", "2"}, [](const auto& t) { return t.count == 2; }},
+      {{"--count", "100"}, [](const auto& t) { return t.count == 100; }},
+      {{"--size", "9223372036854775807"},
+       [](const auto& t) { return t.size == 9223372036854775807u; }},
+      {{"--int", "0"}, [](const auto& t) { return t.integer == 0; }},
+      {{"--int", "50"}, [](const auto& t) { return t.integer == 50; }},
+      {{"--real", "0.5"}, [](const auto& t) { return t.real == 0.5; }},
+      {{"--real", "2.5"}, [](const auto& t) { return t.real == 2.5; }},
+      {{"--positive", "1e-300"},
+       [](const auto& t) { return t.positive == 1e-300 && t.then_ran; }},
+      {{"--positive", "1"}, [](const auto& t) { return t.positive == 1.0; }},
+      {{"--any", "-1e300"}, [](const auto& t) { return t.any == -1e300; }},
+      {{"--text", "a b"}, [](const auto& t) { return t.text == "a b"; }},
+      {{"--on"}, [](const auto& t) { return t.on; }},
+      {{"--mode", "reject"},
+       [](const auto& t) { return t.mode == Mode::kReject; }},
+      {{"--mode", "block"},
+       [](const auto& t) { return t.mode == Mode::kBlock; }},
+      {{"--counts", "2,100"},
+       [](const auto& t) {
+         return t.counts == std::vector<std::size_t>{2, 100};
+       }},
+      {{"--ints", "1,50,7"},
+       [](const auto& t) { return t.ints == std::vector<int>{1, 50, 7}; }},
+      {{"--pair", "0", "10"},
+       [](const auto& t) { return t.a == 0 && t.b == 10; }},
+      // A repeated flag keeps its last value.
+      {{"--count", "3", "--count", "4"},
+       [](const auto& t) { return t.count == 4; }},
+  };
+  for (const Case& c : cases) {
+    FlagTargets targets;
+    FlagTable table = MakeFlagTable(&targets);
+    std::vector<std::string> words = c.words;
+    words.insert(words.begin(), "in.txt");
+    ASSERT_TRUE(ParseWords(table, words).ok()) << c.words[0];
+    EXPECT_TRUE(c.landed(targets)) << c.words[0];
+    EXPECT_EQ(targets.input, "in.txt");
+  }
+}
+
+TEST(FlagTableTest, UntouchedTargetsKeepTheirDefaults) {
+  FlagTargets targets;
+  FlagTable table = MakeFlagTable(&targets);
+  ASSERT_TRUE(ParseWords(table, {"in.txt"}).ok());
+  EXPECT_EQ(targets.count, 5u);
+  EXPECT_EQ(targets.counts, (std::vector<std::size_t>{4, 8}));
+  EXPECT_FALSE(targets.on);
+  EXPECT_FALSE(targets.then_ran);
+}
+
+TEST(FlagTableTest, HelpListsEveryRowAndStopsParsing) {
+  FlagTargets targets;
+  FlagTable table = MakeFlagTable(&targets);
+  const std::string usage = table.Usage();
+  for (const char* row :
+       {"<input>", "--count N", "--size N", "--int I", "--real X",
+        "--positive X", "--any X", "--text S", "--on", "--mode block|reject", "--counts N,...",
+        "--ints I,...", "--pair A B", "--help"}) {
+    EXPECT_NE(usage.find(row), std::string::npos) << row;
+  }
+  // Defaults and ranges come from the rows.
+  EXPECT_NE(usage.find("a count (default 5; in [2, 100])"), std::string::npos);
+  EXPECT_NE(usage.find("(default 0.5; in (0, 1])"), std::string::npos);
+  EXPECT_NE(usage.find("(default 4,8; in [2, 100])"), std::string::npos);
+  // --help needs no positional and ends the parse before later words.
+  ASSERT_TRUE(ParseWords(table, {"--help", "--nope"}).ok());
+  EXPECT_TRUE(table.help_requested());
+}
+
+TEST(FlagTableDeathTest, ParseOrExitExitsZeroOnHelpAndTwoOnAnError) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const auto parse_or_exit = [](std::vector<std::string> words,
+                                const std::function<Status()>& check) {
+    FlagTargets targets;
+    FlagTable table = MakeFlagTable(&targets);
+    std::vector<char*> argv = {const_cast<char*>("prog")};
+    for (std::string& word : words) argv.push_back(word.data());
+    table.ParseOrExit(static_cast<int>(argv.size()), argv.data(), 1, check);
+    std::exit(7);  // parsed: the caller goes on to work
+  };
+  EXPECT_EXIT(parse_or_exit({"--help"}, nullptr),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parse_or_exit({"in.txt", "--count", "1x"}, nullptr),
+              ::testing::ExitedWithCode(2), "InvalidArgument: flag --count");
+  EXPECT_EXIT(parse_or_exit({"in.txt"},
+                            [] { return Status::InvalidArgument("cross"); }),
+              ::testing::ExitedWithCode(2), "InvalidArgument: cross");
+  EXPECT_EXIT(parse_or_exit({"in.txt"}, nullptr),
+              ::testing::ExitedWithCode(7), "");
 }
 
 }  // namespace

@@ -3,22 +3,10 @@
 // incrementally, and print top-k similar pairs (or neighbors of a query
 // node).
 //
-// Usage:
-//   incsr_cli <edge_list> [--updates FILE] [--query NODE] [--topk K]
-//             [--damping C] [--iterations K] [--algorithm incsr|incusr]
-//
-//   incsr_cli serve <edge_list> --updates FILE [--writers N] [--readers M]
-//             [--topk K] [--queue-capacity Q] [--max-batch B]
-//             [--backpressure block|reject] [--damping C] [--iterations K]
-//             [--threads T] [--shards S] [--index-capacity C]
-//             [--sparse-eps E] [--sparse-max-density D]
-//
-//   incsr_cli serve <edge_list> --listen HOST:PORT [--updates FILE]
-//             [--replica-of HOST:PORT] [--replication-backlog N] [...]
-//
-//   incsr_cli client <HOST:PORT> [--ping] [--submit FILE] [--flush]
-//             [--score A B] [--query NODE] [--pairs] [--topk K]
-//             [--suggest N1,N2,...] [--stats]
+// Modes: batch (`incsr_cli <edge_list>`), `serve`, `client` and `trace
+// summarize`. `incsr_cli --help`, `incsr_cli serve --help` and
+// `incsr_cli client --help` print each mode's flags, generated from the
+// flag tables below.
 //
 // `serve` replays the update stream through the concurrent SimRankService
 // (N writer threads submitting, M reader threads issuing top-k queries
@@ -52,16 +40,11 @@
 // The updates file holds one update per line: "+ src dst" (insert) or
 // "- src dst" (delete); '#' starts a comment.
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <concepts>
 #include <csignal>
 #include <cstdio>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -83,124 +66,6 @@ struct CliOptions {
   int iterations = 15;
   core::UpdateAlgorithm algorithm = core::UpdateAlgorithm::kIncSR;
 };
-
-void PrintUsage(const char* prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s <edge_list> [--updates FILE] [--query NODE] [--topk K]\n"
-      "          [--damping C] [--iterations K] [--algorithm incsr|incusr]\n"
-      "       %s serve <edge_list> --updates FILE [--writers N]\n"
-      "          [--readers M] [--topk K] [--queue-capacity Q]\n"
-      "          [--max-batch B] [--cache-capacity C]\n"
-      "          [--backpressure block|reject] [--damping C]\n"
-      "          [--iterations K] [--threads T] [--shards S]\n"
-      "          [--index-capacity C] [--sparse-eps E]\n"
-      "          [--sparse-max-density D] [--trace-out FILE]\n"
-      "          [--trace-buffer-kb N]\n"
-      "       %s serve <edge_list> --listen HOST:PORT [--updates FILE]\n"
-      "          [--replica-of HOST:PORT] [--replication-backlog N] [...]\n"
-      "       %s client <HOST:PORT> [--ping] [--submit FILE] [--flush]\n"
-      "          [--score A B] [--query NODE] [--pairs] [--topk K]\n"
-      "          [--suggest N1,N2,...] [--stats]\n"
-      "       %s trace summarize <trace_file>\n",
-      prog, prog, prog, prog, prog);
-}
-
-// Parses a flag's value as a finite double: the whole argument must be
-// consumed, and NaN/inf are rejected here rather than deep in a library.
-Result<double> ParseFiniteDouble(const std::string& flag,
-                                 const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
-    return Status::InvalidArgument("flag " + flag +
-                                   " needs a finite number, got '" + text +
-                                   "'");
-  }
-  return value;
-}
-
-// Parses a flag's value as an integer in [0, max]: the whole argument must
-// be consumed, and a sign, an overflow or a value past `max` is rejected
-// rather than wrapped or truncated.
-Result<std::size_t> ParseCount(
-    const std::string& flag, const std::string& text,
-    std::size_t max = std::numeric_limits<long long>::max()) {
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE || parsed < 0 ||
-      static_cast<unsigned long long>(parsed) > max) {
-    return Status::InvalidArgument("flag " + flag + " needs an integer in [0, " +
-                                   std::to_string(max) + "], got '" + text +
-                                   "'");
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-// A node id or an iteration count: a ParseCount bounded to int.
-Result<int> ParseInt(const std::string& flag, const std::string& text) {
-  auto v = ParseCount(flag, text, std::numeric_limits<int>::max());
-  if (!v.ok()) return v.status();
-  return static_cast<int>(*v);
-}
-
-Result<CliOptions> ParseArgs(int argc, char** argv) {
-  if (argc < 2) return Status::InvalidArgument("missing edge list path");
-  CliOptions options;
-  options.edge_list = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("flag " + flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (flag == "--updates") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      options.updates_file = v.value();
-    } else if (flag == "--query") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto id = ParseInt(flag, *v);
-      if (!id.ok()) return id.status();
-      options.query = *id;
-    } else if (flag == "--topk") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto k = ParseCount(flag, *v);
-      if (!k.ok()) return k.status();
-      options.topk = *k;
-    } else if (flag == "--damping") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto d = ParseFiniteDouble(flag, *v);
-      if (!d.ok()) return d.status();
-      options.damping = *d;
-    } else if (flag == "--iterations") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto iterations = ParseInt(flag, *v);
-      if (!iterations.ok()) return iterations.status();
-      options.iterations = *iterations;
-    } else if (flag == "--algorithm") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      if (*v == "incsr") {
-        options.algorithm = core::UpdateAlgorithm::kIncSR;
-      } else if (*v == "incusr") {
-        options.algorithm = core::UpdateAlgorithm::kIncUSR;
-      } else {
-        return Status::InvalidArgument("unknown algorithm '" + *v + "'");
-      }
-    } else {
-      return Status::InvalidArgument("unknown flag '" + flag + "'");
-    }
-  }
-  return options;
-}
 
 Result<std::vector<graph::EdgeUpdate>> ReadUpdates(const std::string& path) {
   std::ifstream file(path);
@@ -296,128 +161,8 @@ struct ServeOptions {
   std::size_t trace_buffer_kb = 1024;
 };
 
-Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
-  // argv: serve <edge_list> [flags...]
-  if (argc < 3) return Status::InvalidArgument("serve: missing edge list");
-  ServeOptions options;
-  options.edge_list = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("flag " + flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    auto next_size = [&]() -> Result<std::size_t> {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      return ParseCount(flag, *v);
-    };
-    if (flag == "--updates") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      options.updates_file = *v;
-    } else if (flag == "--writers") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.writers = *v;
-    } else if (flag == "--readers") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.readers = *v;
-    } else if (flag == "--topk") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.topk = *v;
-    } else if (flag == "--queue-capacity") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.service.queue_capacity = *v;
-    } else if (flag == "--max-batch") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.service.max_batch = *v;
-    } else if (flag == "--cache-capacity") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.service.cache_capacity = *v;
-    } else if (flag == "--index-capacity") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.service.topk_index_capacity = *v;
-    } else if (flag == "--sparse-eps") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto eps = ParseFiniteDouble(flag, *v);
-      if (!eps.ok()) return eps.status();
-      options.service.sparse.enabled = true;
-      options.service.sparse.epsilon = *eps;
-    } else if (flag == "--sparse-max-density") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto density = ParseFiniteDouble(flag, *v);
-      if (!density.ok()) return density.status();
-      options.service.sparse.max_density = *density;
-    } else if (flag == "--backpressure") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      if (*v == "block") {
-        options.service.backpressure = service::BackpressurePolicy::kBlock;
-      } else if (*v == "reject") {
-        options.service.backpressure = service::BackpressurePolicy::kReject;
-      } else {
-        return Status::InvalidArgument("unknown backpressure '" + *v + "'");
-      }
-    } else if (flag == "--damping") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto d = ParseFiniteDouble(flag, *v);
-      if (!d.ok()) return d.status();
-      options.damping = *d;
-    } else if (flag == "--iterations") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto iterations = ParseInt(flag, *v);
-      if (!iterations.ok()) return iterations.status();
-      options.iterations = *iterations;
-    } else if (flag == "--threads") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto threads = ParseInt(flag, *v);
-      if (!threads.ok()) return threads.status();
-      options.num_threads = *threads;
-    } else if (flag == "--shards") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.shards = *v;
-    } else if (flag == "--listen") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      options.listen = *v;
-    } else if (flag == "--replica-of") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      options.replica_of = *v;
-    } else if (flag == "--replication-backlog") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      options.replication_backlog = *v;
-    } else if (flag == "--trace-out") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      options.trace_out = *v;
-    } else if (flag == "--trace-buffer-kb") {
-      auto v = next_size();
-      if (!v.ok()) return v.status();
-      if (*v == 0) {
-        return Status::InvalidArgument("--trace-buffer-kb must be >= 1");
-      }
-      options.trace_buffer_kb = *v;
-    } else {
-      return Status::InvalidArgument("unknown serve flag '" + flag + "'");
-    }
-  }
+// The serve flags' cross-flag rules, checked before any work starts.
+Status CheckServeOptions(const ServeOptions& options) {
   // The services' own check, run here so a bad value fails before the
   // O(n²) index build rather than after it.
   INCSR_RETURN_IF_ERROR(service::ValidateOptions(options.service));
@@ -446,7 +191,7 @@ Result<ServeOptions> ParseServeArgs(int argc, char** argv) {
       }
     }
   }
-  return options;
+  return Status::OK();
 }
 
 // ---- Stats output -----------------------------------------------------------
@@ -691,12 +436,8 @@ Status Preload(Service& svc, const std::vector<graph::EdgeUpdate>& updates) {
 }
 
 int RunServeListen(const ServeOptions& options) {
-  auto endpoint = net::ParseHostPort(options.listen);
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 endpoint.status().ToString().c_str());
-    return 1;
-  }
+  // CheckServeOptions has parsed --listen and --replica-of.
+  const auto endpoint = net::ParseHostPort(options.listen).value();
   auto data = graph::ReadEdgeListFile(options.edge_list);
   if (!data.ok()) {
     std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
@@ -726,8 +467,8 @@ int RunServeListen(const ServeOptions& options) {
   sr_options.num_threads = options.num_threads;
 
   net::ServerOptions server_options;
-  server_options.host = endpoint->first;
-  server_options.port = endpoint->second;
+  server_options.host = endpoint.first;
+  server_options.port = endpoint.second;
   server_options.replication_backlog = options.replication_backlog;
 
   if (options.shards > 0) {
@@ -795,15 +536,10 @@ int RunServeListen(const ServeOptions& options) {
 
   std::unique_ptr<net::ReplicationClient> replication;
   if (replica) {
-    auto primary = net::ParseHostPort(options.replica_of);
-    if (!primary.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   primary.status().ToString().c_str());
-      return 1;
-    }
+    const auto primary = net::ParseHostPort(options.replica_of).value();
     net::ReplicationClientOptions repl_options;
-    repl_options.primary_host = primary->first;
-    repl_options.primary_port = primary->second;
+    repl_options.primary_host = primary.first;
+    repl_options.primary_port = primary.second;
     auto started = net::ReplicationClient::Start(service->get(),
                                                  repl_options);
     if (!started.ok()) {
@@ -845,90 +581,14 @@ struct ClientCommand {
   bool ping = false;
   std::string submit_file;
   bool flush = false;
-  bool score = false;
-  graph::NodeId score_a = 0;
+  graph::NodeId score_a = -1;  // -1: no --score
   graph::NodeId score_b = 0;
   graph::NodeId query = -1;
   bool pairs = false;
   std::size_t topk = 10;
   std::vector<graph::NodeId> suggest;
   bool stats = false;
-  bool any = false;  ///< at least one action flag given
 };
-
-Result<ClientCommand> ParseClientArgs(int argc, char** argv) {
-  // argv: client <HOST:PORT> [flags...]
-  if (argc < 3) return Status::InvalidArgument("client: missing HOST:PORT");
-  ClientCommand command;
-  command.endpoint = argv[2];
-  INCSR_RETURN_IF_ERROR(net::ParseHostPort(command.endpoint).status());
-  for (int i = 3; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument("flag " + flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (flag == "--ping") {
-      command.ping = command.any = true;
-    } else if (flag == "--submit") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      command.submit_file = *v;
-      command.any = true;
-    } else if (flag == "--flush") {
-      command.flush = command.any = true;
-    } else if (flag == "--score") {
-      auto a = next();
-      if (!a.ok()) return a.status();
-      auto b = next();
-      if (!b.ok()) return b.status();
-      auto id_a = ParseInt(flag, *a);
-      if (!id_a.ok()) return id_a.status();
-      auto id_b = ParseInt(flag, *b);
-      if (!id_b.ok()) return id_b.status();
-      command.score = command.any = true;
-      command.score_a = *id_a;
-      command.score_b = *id_b;
-    } else if (flag == "--query") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto id = ParseInt(flag, *v);
-      if (!id.ok()) return id.status();
-      command.query = *id;
-      command.any = true;
-    } else if (flag == "--pairs") {
-      command.pairs = command.any = true;
-    } else if (flag == "--topk") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      auto k = ParseCount(flag, *v);
-      if (!k.ok()) return k.status();
-      command.topk = *k;
-    } else if (flag == "--suggest") {
-      auto v = next();
-      if (!v.ok()) return v.status();
-      std::stringstream nodes(*v);
-      std::string item;
-      while (std::getline(nodes, item, ',')) {
-        auto id = ParseInt(flag, item);
-        if (!id.ok()) return id.status();
-        command.suggest.push_back(*id);
-      }
-      if (command.suggest.empty()) {
-        return Status::InvalidArgument("--suggest needs node ids");
-      }
-      command.any = true;
-    } else if (flag == "--stats") {
-      command.stats = command.any = true;
-    } else {
-      return Status::InvalidArgument("unknown client flag '" + flag + "'");
-    }
-  }
-  if (!command.any) command.stats = true;  // default action
-  return command;
-}
 
 int RunClient(const ClientCommand& command) {
   auto connected = net::IncSrClient::Connect(command.endpoint);
@@ -973,7 +633,7 @@ int RunClient(const ClientCommand& command) {
     }
     std::printf("flush: ok\n");
   }
-  if (command.score) {
+  if (command.score_a >= 0) {
     auto score = client.Score(command.score_a, command.score_b);
     if (!score.ok()) {
       std::fprintf(stderr, "error: %s\n", score.status().ToString().c_str());
@@ -1171,16 +831,18 @@ int RunServe(const ServeOptions& options) {
 }
 
 int RunTrace(int argc, char** argv) {
-  // argv: trace summarize <trace_file>
-  if (argc < 3 || std::strcmp(argv[2], "summarize") != 0) {
-    std::fprintf(stderr, "error: trace: expected `summarize <trace_file>`\n");
-    return 2;
-  }
-  if (argc < 4) {
-    std::fprintf(stderr, "error: trace summarize: missing trace file\n");
-    return 2;
-  }
-  auto file = obs::ReadTraceFile(argv[3]);
+  std::string command;
+  std::string path;
+  FlagTable flags("incsr_cli trace");
+  flags.Positional("command", "summarize (the only one)", &command)
+      .Positional("trace_file", "trace to decode", &path);
+  flags.ParseOrExit(argc, argv, 2, [&command] {
+    return command == "summarize"
+               ? Status::OK()
+               : Status::InvalidArgument("unknown trace command '" + command +
+                                         "'");
+  });
+  auto file = obs::ReadTraceFile(path);
   if (!file.ok()) {
     std::fprintf(stderr, "error: %s\n", file.status().ToString().c_str());
     return 1;
@@ -1259,36 +921,93 @@ int Run(const CliOptions& options) {
   return 0;
 }
 
+// ---- Flag tables -----------------------------------------------------------
+
+int BatchMain(int argc, char** argv) {
+  CliOptions options;
+  FlagTable flags("incsr_cli",
+                  "Batch SimRank, with --updates applied incrementally. Other "
+                  "modes, each with --help:\nserve, client, trace.");
+  flags.Positional("edge_list", "SNAP edge list", &options.edge_list)
+      .String("--updates", "FILE", "update stream", &options.updates_file)
+      .Int("--query", "NODE", "print this node's top-k", &options.query)
+      .Int("--topk", "K", "pairs or neighbours to print", &options.topk)
+      .Double("--damping", "C", "SimRank decay factor", &options.damping)
+      .Int("--iterations", "K", "SimRank iterations", &options.iterations)
+      .Choice("--algorithm", "update kernel", &options.algorithm,
+              {{"incsr", core::UpdateAlgorithm::kIncSR},
+               {"incusr", core::UpdateAlgorithm::kIncUSR}});
+  flags.ParseOrExit(argc, argv);
+  return Run(options);
+}
+
+int ServeMain(int argc, char** argv) {
+  ServeOptions o;
+  service::ServiceOptions& svc = o.service;
+  FlagTable flags("incsr_cli serve");
+  flags.Positional("edge_list", "SNAP edge list", &o.edge_list)
+      .String("--updates", "FILE", "update stream to replay or preload",
+              &o.updates_file)
+      .Int("--writers", "N", "writer threads", &o.writers)
+      .Int("--readers", "M", "reader threads", &o.readers)
+      .Int("--topk", "K", "k of each query and of the final pairs", &o.topk)
+      .Int("--queue-capacity", "Q", "ingest queue size", &svc.queue_capacity)
+      .Int("--max-batch", "B", "updates per applied batch", &svc.max_batch)
+      .Int("--cache-capacity", "C", "query cache entries", &svc.cache_capacity)
+      .Int("--index-capacity", "C", "top-k index entries per node",
+           &svc.topk_index_capacity)
+      .Double("--sparse-eps", "E", "sparse tier on, at this epsilon",
+              &svc.sparse.epsilon)
+      .Then([&svc] { svc.sparse.enabled = true; })
+      .Double("--sparse-max-density", "D", "sparse row density cap",
+              &svc.sparse.max_density)
+      .Choice("--backpressure", "full-queue policy", &svc.backpressure,
+              {{"block", service::BackpressurePolicy::kBlock},
+               {"reject", service::BackpressurePolicy::kReject}})
+      .Double("--damping", "C", "SimRank decay factor", &o.damping)
+      .Int("--iterations", "K", "SimRank iterations", &o.iterations)
+      .Int("--threads", "T", "kernel threads; 0 = INCSR_THREADS",
+           &o.num_threads)
+      .Int("--shards", "S", "component shards; 0 = unsharded", &o.shards)
+      .String("--listen", "HOST:PORT", "serve RPCs until SIGTERM", &o.listen)
+      .String("--replica-of", "HOST:PORT", "primary to replicate",
+              &o.replica_of)
+      .Int("--replication-backlog", "N", "batches kept for replica catch-up",
+           &o.replication_backlog)
+      .String("--trace-out", "FILE", "serve-path trace; %p = pid",
+              &o.trace_out)
+      .Int("--trace-buffer-kb", "N", "per-thread trace ring size",
+           &o.trace_buffer_kb, 1);
+  flags.ParseOrExit(argc, argv, 2, [&o] { return CheckServeOptions(o); });
+  return RunServe(o);
+}
+
+int ClientMain(int argc, char** argv) {
+  ClientCommand c;
+  FlagTable flags("incsr_cli client");
+  flags.Positional("HOST:PORT", "server; ids are its dense ids", &c.endpoint)
+      .Switch("--ping", "round-trip a Ping", &c.ping)
+      .String("--submit", "FILE", "submit an update stream", &c.submit_file)
+      .Switch("--flush", "wait until submitted updates are visible", &c.flush)
+      .IntPair("--score", "A B", "print s(A, B)", &c.score_a, &c.score_b)
+      .Int("--query", "NODE", "print this node's top-k", &c.query)
+      .Switch("--pairs", "print the top-k pairs", &c.pairs)
+      .Int("--topk", "K", "k of --query, --pairs and --suggest", &c.topk)
+      .IntList("--suggest", "N1,N2,...", "each node's top-k", &c.suggest)
+      .Switch("--stats", "print the server's stats (the default)", &c.stats);
+  flags.ParseOrExit(argc, argv, 2,
+                    [&c] { return net::ParseHostPort(c.endpoint).status(); });
+  c.stats |= !c.ping && c.submit_file.empty() && !c.flush && c.score_a < 0 &&
+             c.query < 0 && !c.pairs && c.suggest.empty();
+  return RunClient(c);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-    auto options = ParseServeArgs(argc, argv);
-    if (!options.ok()) {
-      std::fprintf(stderr, "error: %s\n", options.status().ToString().c_str());
-      PrintUsage(argv[0]);
-      return 2;
-    }
-    return RunServe(options.value());
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "trace") == 0) {
-    return RunTrace(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "client") == 0) {
-    auto command = ParseClientArgs(argc, argv);
-    if (!command.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   command.status().ToString().c_str());
-      PrintUsage(argv[0]);
-      return 2;
-    }
-    return RunClient(command.value());
-  }
-  auto options = ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::fprintf(stderr, "error: %s\n", options.status().ToString().c_str());
-    PrintUsage(argv[0]);
-    return 2;
-  }
-  return Run(options.value());
+  const std::string mode = argc >= 2 ? argv[1] : "";
+  if (mode == "serve") return ServeMain(argc, argv);
+  if (mode == "client") return ClientMain(argc, argv);
+  if (mode == "trace") return RunTrace(argc, argv);
+  return BatchMain(argc, argv);
 }
